@@ -12,7 +12,7 @@ from collections import Counter
 
 from dcedit.graphs import WeightedGraph
 from dcedit.kernelize import kernelize
-from dcedit.problems import EDEL, VDEL, WEDCE, WERE, WSRE, ConstraintSet, ProblemInstance
+from dcedit.problems import EDEL, VDEL, WEDCE, WERE, WSRE, exact_instance
 
 PIECES = {
     "edge": ([0, 1], [(0, 1)]),
@@ -21,27 +21,6 @@ PIECES = {
     "c4": ([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (0, 3)]),
     "c5": ([0, 1, 2, 3, 4], [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
 }
-
-
-def measured_constraints(kind, g):
-    """Singleton lists pinned to the graph's current measures."""
-    wdeg = {v: sum(g.edge_weight(v, u) for u in g.neighbors(v))
-            for v in g.vertices()}
-    if kind == WEDCE:
-        de = {e: {wdeg[e[0]] + wdeg[e[1]]} for e in g.edges()}
-        return ConstraintSet(r=max((max(s) for s in de.values()), default=0),
-                             delta_e=de)
-    dv = {v: {wdeg[v]} for v in g.vertices()}
-    nu = {e: {len(g.neighbors(e[0]) & g.neighbors(e[1]))} for e in g.edges()}
-    lam = max((max(s) for s in nu.values()), default=0)
-    xi = mu = None
-    if kind == WSRE:
-        xi = {p: {len(g.neighbors(p[0]) & g.neighbors(p[1]))}
-              for p in g.non_adjacent_pairs()}
-        mu = max((max(s) for s in xi.values()), default=0)
-    return ConstraintSet(r=max(max(wdeg.values(), default=0), lam, mu or 0),
-                         lam=lam, mu=mu, delta_v=dv, nu=nu, xi=xi,
-                         nu_default={0}, xi_default={0} if mu is not None else None)
 
 
 def planted(rng, kind):
@@ -65,20 +44,20 @@ def planted(rng, kind):
     for a, b in zip(chain, chain[1:]):
         ew[(a, b)] = 1
     g = WeightedGraph(vw, ew)
-    cs = measured_constraints(kind, g)
+    if kind == WEDCE:
+        ops = rng.choice(({VDEL}, {EDEL}, {VDEL, EDEL}))
+    else:
+        ops = rng.choice(({VDEL}, {VDEL, EDEL}))
+    inst = exact_instance(kind, g, rng.randint(1, 3), ops)
+    cs = inst.constraints
     if kind == WEDCE:
         de = dict(cs.delta_e)
         de[(hub, pendant)] = {0}
-        cs = cs.replace(delta_e=de)
-        ops = rng.choice(({VDEL}, {EDEL}, {VDEL, EDEL}))
-    else:
-        dv = dict(cs.delta_v)
-        dv[hub] = {max(dv[hub]) - 1}
-        dv[pendant] = {0}
-        cs = cs.replace(delta_v=dv)
-        ops = rng.choice(({VDEL}, {VDEL, EDEL}))
-    return ProblemInstance(kind=kind, graph=g, constraints=cs,
-                           ops=frozenset(ops), k=rng.randint(1, 3))
+        return inst.replace(constraints=cs.replace(delta_e=de))
+    dv = dict(cs.delta_v)
+    dv[hub] = {max(dv[hub]) - 1}
+    dv[pendant] = {0}
+    return inst.replace(constraints=cs.replace(delta_v=dv))
 
 
 def main():

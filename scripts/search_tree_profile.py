@@ -12,19 +12,8 @@ import random
 import statistics
 
 from dcedit.graphs import random_graph
-from dcedit.problems import EDEL, VDEL, WEDCE, WERE, ConstraintSet, ProblemInstance
+from dcedit.problems import EDEL, VDEL, WEDCE, WERE, uniform_instance
 from dcedit.search_tree import solve
-
-
-def uniform(kind, g, r, k, ops, lam=None):
-    if kind == WEDCE:
-        cs = ConstraintSet(r=r, delta_e={e: {r} for e in g.edges()})
-    else:
-        cs = ConstraintSet(r=r, lam=lam,
-                           delta_v={v: {r} for v in g.vertices()},
-                           nu_default={lam})
-    return ProblemInstance(kind=kind, graph=g, constraints=cs,
-                           ops=frozenset(ops), k=k)
 
 
 def main():
@@ -52,7 +41,7 @@ def main():
                     g = random_graph(args.n, rng.uniform(0.2, 0.7),
                                      seed=rng.randrange(10 ** 6))
                     lam = rng.randint(0, r) if kind == WERE else None
-                    rep = solve(uniform(kind, g, r, k, ops, lam=lam))
+                    rep = solve(uniform_instance(kind, g, r, k, ops, lam=lam))
                     visited.append(rep.nodes_visited)
                     bound = rep.tree_bound
                 used = 100.0 * max(visited) / bound

@@ -25,19 +25,13 @@ from .instance_io import (
 from .kernelize import kernelize
 from .oracle import ORACLE_MAX_BUDGET, ORACLE_MAX_VERTICES, brute_force_solve
 from .problems import (
-    EDEL,
     KINDS,
-    VDEL,
     WDCE,
-    WEDCE,
-    WERE,
-    WSRE,
-    ConstraintSet,
     EditScript,
-    ProblemInstance,
     apply_edit_script,
     canonical_steps,
     check_constraints,
+    exact_instance,
 )
 from .search_tree import solve
 from .treewidth import solve_induced_regular, solve_regular_subgraph, solve_with_addition
@@ -176,34 +170,8 @@ def _gen_graph(args) -> WeightedGraph:
 
 
 def _cmd_gen(args) -> int:
-    g = _gen_graph(args)
-    kind = args.kind
     ops = frozenset(s for s in args.ops.split(",") if s)
-    wdeg = {v: sum(g.edge_weight(v, u) for u in g.neighbors(v)) for v in g.vertices()}
-    nu_counts = {e: len(g.neighbors(e[0]) & g.neighbors(e[1])) for e in g.edges()}
-    xi_counts = {pair: len(g.neighbors(pair[0]) & g.neighbors(pair[1]))
-                 for pair in g.non_adjacent_pairs()}
-    if kind == WEDCE:
-        de = {e: frozenset({wdeg[e[0]] + wdeg[e[1]]}) for e in g.edges()}
-        r = max((max(s) for s in de.values()), default=0)
-        cs = ConstraintSet(r=r, delta_e=de)
-    else:
-        dv = {v: frozenset({wdeg[v]}) for v in g.vertices()}
-        r = max(wdeg.values(), default=0)
-        lam = mu = None
-        nu = xi = None
-        nu_default = xi_default = None
-        if kind in (WERE, WSRE):
-            lam = max(nu_counts.values(), default=0)
-            nu = {e: frozenset({c}) for e, c in nu_counts.items()}
-            nu_default = frozenset({0})
-        if kind == WSRE:
-            mu = max(xi_counts.values(), default=0)
-            xi = {pair: frozenset({c}) for pair, c in xi_counts.items()}
-            xi_default = frozenset({0})
-        cs = ConstraintSet(r=r, lam=lam, mu=mu, delta_v=dv, nu=nu, xi=xi,
-                           nu_default=nu_default, xi_default=xi_default)
-    inst = ProblemInstance(kind=kind, graph=g, constraints=cs, ops=ops, k=args.k)
+    inst = exact_instance(args.kind, _gen_graph(args), args.k, ops)
     sys.stdout.write(serialize_instance(inst))
     return 0
 

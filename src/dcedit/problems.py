@@ -262,6 +262,49 @@ def star_violation(inst: ProblemInstance) -> Optional[str]:
     return None
 
 
+# -- instance builders ------------------------------------------------------
+
+
+def uniform_instance(kind: str, g: WeightedGraph, r: int, k: int, ops: Iterable[str],
+                     lam: Optional[int] = None, mu: Optional[int] = None) -> ProblemInstance:
+    """Every consulted list is the same singleton: delta={r}, nu={lam},
+    xi={mu} (via the defaults)."""
+    if kind == WEDCE:
+        cs = ConstraintSet(r=r, delta_e={e: {r} for e in g.edges()})
+    else:
+        cs = ConstraintSet(
+            r=r,
+            lam=lam if kind in (WERE, WSRE) else None,
+            mu=mu if kind == WSRE else None,
+            delta_v={v: {r} for v in g.vertices()},
+            nu_default={lam} if kind in (WERE, WSRE) else None,
+            xi_default={mu} if kind == WSRE else None,
+        )
+    return ProblemInstance(kind=kind, graph=g, constraints=cs, ops=ops, k=k)
+
+
+def exact_instance(kind: str, g: WeightedGraph, k: int, ops: Iterable[str]) -> ProblemInstance:
+    """Every list pinned to the singleton of g's current measure, so the
+    instance holds as-is; r, lambda and mu are the largest measures."""
+    degs = {v: weighted_degree(g, v) for v in g.vertices()}
+    if kind == WEDCE:
+        de = {e: {degs[e[0]] + degs[e[1]]} for e in g.edges()}
+        cs = ConstraintSet(r=max((max(s) for s in de.values()), default=0), delta_e=de)
+        return ProblemInstance(kind=kind, graph=g, constraints=cs, ops=ops, k=k)
+    lam = mu = nu = xi = None
+    if kind in (WERE, WSRE):
+        nu = {e: {common_neighbor_count(g, *e)} for e in g.edges()}
+        lam = max((max(s) for s in nu.values()), default=0)
+    if kind == WSRE:
+        xi = {p: {common_neighbor_count(g, *p)} for p in g.non_adjacent_pairs()}
+        mu = max((max(s) for s in xi.values()), default=0)
+    cs = ConstraintSet(r=max(degs.values(), default=0), lam=lam, mu=mu,
+                       delta_v={v: {d} for v, d in degs.items()}, nu=nu, xi=xi,
+                       nu_default={0} if lam is not None else None,
+                       xi_default={0} if mu is not None else None)
+    return ProblemInstance(kind=kind, graph=g, constraints=cs, ops=ops, k=k)
+
+
 # -- edit scripts -----------------------------------------------------------
 
 

@@ -1,9 +1,11 @@
-"""Shared fixtures: named small graphs and instance builders."""
+"""Shared fixtures: named small graphs; the instance builders and ``wdeg``
+are re-exported from the library for the test modules that import them here."""
 
 import pytest
 
 from dcedit.graphs import WeightedGraph, complete, cycle, petersen
-from dcedit.problems import WDCE, WEDCE, WERE, WSRE, ConstraintSet, ProblemInstance
+from dcedit.graphs import weighted_degree as wdeg  # noqa: F401  (re-exported)
+from dcedit.problems import exact_instance, uniform_instance  # noqa: F401  (re-exported)
 
 
 def path_graph(n):
@@ -17,53 +19,6 @@ def star_graph(leaves):
     center = leaves
     return WeightedGraph({i: 1 for i in range(leaves + 1)},
                          {(i, center): 1 for i in range(leaves)})
-
-
-def wdeg(g, v):
-    return sum(g.edge_weight(v, u) for u in g.neighbors(v))
-
-
-def uniform_instance(kind, g, r, k, ops, lam=None, mu=None):
-    """Every consulted list is the same singleton: delta={r}, nu={lam},
-    xi={mu} (via the defaults)."""
-    if kind == WEDCE:
-        cs = ConstraintSet(r=r, delta_e={e: {r} for e in g.edges()})
-    else:
-        dv = {v: {r} for v in g.vertices()}
-        cs = ConstraintSet(
-            r=r,
-            lam=lam if kind in (WERE, WSRE) else None,
-            mu=mu if kind == WSRE else None,
-            delta_v=dv,
-            nu_default={lam} if kind in (WERE, WSRE) else None,
-            xi_default={mu} if kind == WSRE else None,
-        )
-    return ProblemInstance(kind=kind, graph=g, constraints=cs, ops=frozenset(ops), k=k)
-
-
-def exact_instance(kind, g, k, ops):
-    """Constraints equal to the graph's current measures: satisfied as-is."""
-    degs = {v: wdeg(g, v) for v in g.vertices()}
-    if kind == WEDCE:
-        de = {e: {degs[e[0]] + degs[e[1]]} for e in g.edges()}
-        r = max((max(s) for s in de.values()), default=0)
-        cs = ConstraintSet(r=r, delta_e=de)
-    else:
-        dv = {v: {degs[v]} for v in g.vertices()}
-        r = max(degs.values(), default=0)
-        lam = mu = None
-        nu = xi = None
-        if kind in (WERE, WSRE):
-            nu = {e: {len(g.neighbors(e[0]) & g.neighbors(e[1]))} for e in g.edges()}
-            lam = max((max(s) for s in nu.values()), default=0)
-        if kind == WSRE:
-            xi = {p: {len(g.neighbors(p[0]) & g.neighbors(p[1]))}
-                  for p in g.non_adjacent_pairs()}
-            mu = max((max(s) for s in xi.values()), default=0)
-        cs = ConstraintSet(r=r, lam=lam, mu=mu, delta_v=dv, nu=nu, xi=xi,
-                           nu_default={0} if lam is not None else None,
-                           xi_default={0} if mu is not None else None)
-    return ProblemInstance(kind=kind, graph=g, constraints=cs, ops=frozenset(ops), k=k)
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from dcedit.problems import (
     apply_edit_script,
     check_constraints,
 )
+from dcedit import search_tree
 from dcedit.search_tree import (
     KernelTooLargeError,
     solve,
@@ -220,6 +221,19 @@ class TestDispatcher:
         assert rep.tree_bound is None
         assert rep.answer == brute_force_solve(inst).answer
 
+    def test_kernelize_errors_propagate(self, c5, monkeypatch):
+        # a *-variant WSRE instance goes to the kernel route; an error raised
+        # there is a fault, not a signal to fall back to the oracle
+        inst = uniform_instance(WSRE, c5, r=2, k=1, ops={VDEL, EDEL},
+                                lam=0, mu=1)
+
+        def broken(_inst):
+            raise ValueError("kernelize failed")
+
+        monkeypatch.setattr(search_tree, "kernelize", broken)
+        with pytest.raises(ValueError, match="kernelize failed"):
+            solve(inst)
+
     def test_agreement_sweep(self):
         rng = random.Random(99)
         for _ in range(120):
@@ -237,3 +251,41 @@ class TestDispatcher:
                 edited = apply_edit_script(inst.graph, rep.witness)
                 assert check_constraints(inst, edited)
                 assert rep.witness.cost <= inst.k
+
+
+def _pinned_instances():
+    """Seeded WEDCE and WERE instances over every deletion ops set, with edge
+    weights up to 3 and lists of two to four values, so that partial
+    reductions and the forced completion of pending edges both occur."""
+    rng = random.Random(8)
+    for kind in (WEDCE, WERE):
+        for ops in ({VDEL}, {EDEL}, {VDEL, EDEL}):
+            for _ in range(6):
+                g = random_graph(rng.randint(5, 7), 0.5, seed=rng.randrange(10 ** 6))
+                g = WeightedGraph({v: rng.choice((1, 1, 2)) for v in g.vertices()},
+                                  {e: rng.choice((1, 2, 2, 3)) for e in g.edges()})
+                r = 8 if kind == WEDCE else 5
+
+                def some():
+                    return set(rng.sample(range(r + 1), rng.randint(2, 4)))
+
+                if kind == WEDCE:
+                    cs = ConstraintSet(r=r, delta_e={e: some() for e in g.edges()})
+                else:
+                    cs = ConstraintSet(r=r, lam=2, nu_default={0, 1},
+                                       delta_v={v: some() for v in g.vertices()})
+                yield ProblemInstance(kind, g, cs, ops, rng.randint(1, 4))
+
+
+class TestPinnedNodeCounts:
+    # Recorded from the two hand-written search trees that the shared engine
+    # replaced; the branching order is fixed, so any change here is a change
+    # in which children are tried or in how nodes are counted.
+    NODES = [18, 4, 5, 5, 3, 5, 3, 42, 3, 2, 23, 11, 3, 42, 36, 276, 2, 6,
+             7, 3, 27, 4, 3, 2, 9, 1, 3, 23, 168, 34, 39, 5, 30, 8, 3, 18]
+    ANSWERS = "NNNYNYNNNNNNYYNNNYNNNNYYYNYNNNNNNNYN"
+
+    def test_exact_nodes_visited(self):
+        reps = [solve(inst) for inst in _pinned_instances()]
+        assert [rep.nodes_visited for rep in reps] == self.NODES
+        assert "".join("Y" if rep.answer else "N" for rep in reps) == self.ANSWERS
