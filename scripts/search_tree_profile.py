@@ -4,12 +4,15 @@
 Generates seeded random instances per (kind, ops, r, k) cell, solves each
 with the bounded search tree, and reports how much of the worst-case node
 budget the runs actually touch.  Useful for spotting branching regressions:
-the `used%` column should stay far below 100.
+the `used%` column should stay far below 100.  `us/node` is the solve wall
+time per visited node in microseconds; compare it across `--n` to see how
+the cost of a node grows with the graph.
 """
 
 import argparse
 import random
 import statistics
+import time
 
 from dcedit.graphs import random_graph
 from dcedit.problems import EDEL, VDEL, WEDCE, WERE, uniform_instance
@@ -30,24 +33,29 @@ def main():
         (WERE, {VDEL, EDEL}, "vdel+edel"),
     ]
     print(f"{'kind':<6} {'ops':<10} {'r':>2} {'k':>2} "
-          f"{'bound':>7} {'max':>6} {'mean':>8} {'used%':>7}")
+          f"{'bound':>7} {'max':>6} {'mean':>8} {'used%':>7} {'us/node':>8}")
     for kind, ops, label in cells:
         for r in (1, 2):
             for k in (1, 2, 3):
                 rng = random.Random(f"{args.seed}/{kind}/{label}/{r}/{k}")
                 visited = []
                 bound = None
+                elapsed = 0.0
                 for _ in range(args.trials):
                     g = random_graph(args.n, rng.uniform(0.2, 0.7),
                                      seed=rng.randrange(10 ** 6))
                     lam = rng.randint(0, r) if kind == WERE else None
-                    rep = solve(uniform_instance(kind, g, r, k, ops, lam=lam))
+                    inst = uniform_instance(kind, g, r, k, ops, lam=lam)
+                    start = time.perf_counter()
+                    rep = solve(inst)
+                    elapsed += time.perf_counter() - start
                     visited.append(rep.nodes_visited)
                     bound = rep.tree_bound
                 used = 100.0 * max(visited) / bound
+                per_node = 1e6 * elapsed / sum(visited)
                 print(f"{kind:<6} {label:<10} {r:>2} {k:>2} {bound:>7} "
                       f"{max(visited):>6} {statistics.mean(visited):>8.1f} "
-                      f"{used:>6.1f}%")
+                      f"{used:>6.1f}% {per_node:>8.1f}")
 
 
 if __name__ == "__main__":

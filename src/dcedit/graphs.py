@@ -9,7 +9,8 @@ the same vertices, edges and weights compare and hash equal.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 
 def edge_key(u, v):
@@ -104,6 +105,14 @@ class WeightedGraph:
             return self._ew[ke]
         except KeyError:
             raise KeyError(f"no edge {ke!r}") from None
+
+    def vertex_weights(self) -> Mapping:
+        """Read-only view of the vertex-to-weight map."""
+        return MappingProxyType(self._vw)
+
+    def edge_weights(self) -> Mapping:
+        """Read-only view of the map from ``edge_key`` pairs to weights."""
+        return MappingProxyType(self._ew)
 
     def neighbors(self, v) -> frozenset:
         return self._adj[v]

@@ -13,6 +13,13 @@ greedily so that if no branch element is edited, the surviving weight
 around the violation pins its value above every reachable target — that
 keeps the child count within the branching factor while staying complete.
 
+A solve edits one working graph in place, built once from the input: each
+edit updates weights, adjacency and weighted degrees in O(deg) and returns
+a record that undoes it.  The engine undoes every child after it returns,
+and a node's forced deletions and reductions when the node exits.  Each
+strategy keeps its violations as sets that it updates from every edit and
+undo, so a node costs what its edits touch rather than the whole graph.
+
 Edge weights bring one wrinkle: the branch "reduce this edge's weight by
 one" can leave an edge partially reduced, a state no legal edit set
 realises (edge deletion is all-or-nothing at full weight).  Reduced edges
@@ -26,7 +33,7 @@ branch entirely (reducing them is deleting them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .graphs import WeightedGraph, edge_key
 from .kernelize import kernel_bound, kernelize
@@ -72,52 +79,186 @@ def tr(b: int, k: int) -> int:
     return (b ** (k + 1) - 1) // (b - 1)
 
 
-def _wdeg(g: WeightedGraph) -> Dict:
-    return {v: sum(g.edge_weight(v, u) for u in g.neighbors(v)) for v in g.vertices()}
-
-
 def _max_allowed_at_most(allowed: frozenset, d: int) -> Optional[int]:
     below = [s for s in allowed if s <= d]
     return max(below) if below else None
 
 
+# -- the working graph --------------------------------------------------------
+
+
+class _WorkGraph:
+    """The one graph a search edits in place: vertex weights ``vw``, edge
+    weights ``ew`` (keyed by ``edge_key``), adjacency sets ``adj`` and
+    weighted degrees ``wd``.  An edit costs O(deg) and returns the record
+    that ``undo`` takes to restore the graph exactly: the change, ``(vdel,
+    v, (weight, {neighbour: edge weight}))`` or ``(edel, e, (old weight,
+    new weight))``, and what ``watch(self, change)`` returned on hearing
+    it, the function that undoes the watcher's own bookkeeping.
+    ``touched``, ``gone`` and ``rewired`` say what a change did.  At
+    construction ``watch`` hears None: the whole graph is new."""
+
+    __slots__ = ("vw", "ew", "adj", "wd", "_watch")
+
+    def __init__(self, g: WeightedGraph, watch: Callable):
+        self.vw = dict(g.vertex_weights())
+        self.ew = dict(g.edge_weights())
+        self.adj = {v: set(g.neighbors(v)) for v in self.vw}
+        self.wd = dict.fromkeys(self.vw, 0)
+        for (u, v), w in self.ew.items():
+            self.wd[u] += w
+            self.wd[v] += w
+        self._watch = watch
+        watch(self, None)
+
+    def weight(self, u, v) -> int:
+        return self.ew[edge_key(u, v)]
+
+    def touched(self, change: Optional[tuple]) -> Iterable:
+        """The vertices whose weighted degree or presence ``change`` changed."""
+        if change is None:
+            return self.vw
+        op, ref, saved = change
+        return (ref, *saved[1]) if op == VDEL else ref
+
+    def incident(self, touched: Iterable) -> set:
+        """The edges with an endpoint among the present vertices of ``touched``."""
+        adj = self.adj
+        # edge_key inlined: this is the innermost loop of the search
+        return {(x, y) if x <= y else (y, x)
+                for x in touched if x in adj for y in adj[x]}
+
+    def gone(self, change: Optional[tuple]) -> Iterable:
+        """The edges ``change`` deleted."""
+        if change is None:
+            return ()
+        op, ref, saved = change
+        if op == VDEL:
+            return [edge_key(ref, y) for y in saved[1]]
+        return () if saved[1] else (ref,)
+
+    def rewired(self, change: Optional[tuple]) -> Iterable:
+        """The present edges whose common-neighbour count ``change`` may
+        have changed, and the edges it added."""
+        if change is None:
+            return self.ew
+        op, ref, saved = change
+        adj = self.adj
+        if op == VDEL:
+            nbrs = saved[1]
+            return {edge_key(a, b) for a in nbrs for b in adj[a] if b in nbrs}
+        old, new = saved
+        if bool(old) == bool(new):
+            return ()  # reweighted: adjacency unchanged
+        u, v = ref
+        out = {edge_key(x, y) for y in adj[u] & adj[v] for x in ref}
+        if new:
+            out.add(ref)
+        return out
+
+    def _set_weight(self, e: tuple, w: int) -> int:
+        """Give edge ``e`` weight ``w``, where 0 means absent; the old weight."""
+        u, v = e
+        old = self.ew.pop(e, 0)
+        if w:
+            self.ew[e] = w
+            if not old:
+                self.adj[u].add(v)
+                self.adj[v].add(u)
+        elif old:
+            self.adj[u].discard(v)
+            self.adj[v].discard(u)
+        self.wd[u] += w - old
+        self.wd[v] += w - old
+        return old
+
+    def delete_vertex(self, v) -> tuple:
+        lost = {y: self._set_weight(edge_key(v, y), 0) for y in list(self.adj[v])}
+        del self.adj[v], self.wd[v]
+        change = (VDEL, v, (self.vw.pop(v), lost))
+        return change, self._watch(self, change)
+
+    def set_edge_weight(self, e: tuple, w: int) -> tuple:
+        """Reweight edge ``e``; weight 0 deletes it."""
+        change = (EDEL, e, (self._set_weight(e, w), w))
+        return change, self._watch(self, change)
+
+    def undo(self, rec: tuple) -> None:
+        (op, ref, saved), unwatch = rec
+        if op == VDEL:
+            self.vw[ref], lost = saved
+            self.adj[ref] = set()
+            self.wd[ref] = 0
+            for y, w in lost.items():
+                self._set_weight(edge_key(ref, y), w)
+        else:
+            self._set_weight(ref, saved[0])
+        unwatch()
+
+
 # -- the engine -------------------------------------------------------------
 
 
-def _edit(op: str, ref, g: WeightedGraph, k: int, pending: frozenset, steps: tuple):
-    """The search state ``(g, k, pending, steps)`` after one edit, or None
+def _edit(op: str, ref, g: _WorkGraph, k: int, pending: frozenset, steps: tuple):
+    """Apply one edit to ``g`` in place and return ``(undo record, k,
+    pending, steps)`` for the new state, or None, leaving ``g`` as it was,
     when the edit costs more than ``k``.  ``ref`` is a vertex for ``vdel``
     and an edge key otherwise."""
     if op == VDEL:
-        cost = g.vertex_weight(ref)
+        cost = g.vw[ref]
         if cost > k:
             return None
-        drop = {edge_key(ref, y) for y in g.neighbors(ref)}
+        drop = {edge_key(ref, y) for y in g.adj[ref]}
         return g.delete_vertex(ref), k - cost, pending - drop, steps + ((VDEL, ref),)
-    w = g.edge_weight(*ref)
+    w = g.ew[ref]
     if op == _REDUCE and w > 1:
         if k < 1:
             return None
-        return g.set_edge_weight(*ref, w - 1), k - 1, pending | {ref}, steps
+        return g.set_edge_weight(ref, w - 1), k - 1, pending | {ref}, steps
     if w > k:
         return None
-    return g.delete_edge(*ref), k - w, pending - {ref}, steps + ((EDEL,) + ref,)
+    return g.set_edge_weight(ref, 0), k - w, pending - {ref}, steps + ((EDEL,) + ref,)
 
 
 class _Strategy:
     """The per-kind part of the search.  Subclasses supply
     ``factor(r, edel)``, the most children a node can have;
-    ``violation(g, wd)``, the first violated constraint of ``g`` or None
-    when all hold; and ``children(g, wd, bad)``, the ordered ``(op, ref)``
-    repairs that hit every way to fix ``bad``.  ``wd`` maps each vertex of
-    ``g`` to its weighted degree."""
+    ``update(g, change, log)``, which brings the strategy's violation sets
+    up to date with a change to the working graph ``g`` (None: the whole
+    graph) through ``_sync``; ``violation()``, the first violated
+    constraint of the graph or None when all hold; and ``children(g,
+    bad)``, the ordered ``(op, ref)`` repairs that hit every way to fix
+    ``bad``."""
 
     def __init__(self, cs):
         self.cs = cs
 
-    def doomed(self, g: WeightedGraph, wd: Dict):
+    def doomed(self):
         """A vertex that every solution deletes, or None."""
         return None
+
+    def watch(self, g: _WorkGraph, change: Optional[tuple]) -> Callable:
+        """Update for ``change``; the function that puts the sets back."""
+        log: list = []
+        self.update(g, change, log)
+
+        def unwatch():
+            for s, added, dropped in reversed(log):
+                s -= added
+                s |= dropped
+
+        return unwatch
+
+
+def _sync(s: set, scope: Iterable, bad: set, log: list) -> None:
+    """Make ``s`` hold exactly ``bad`` within ``scope``, a superset of
+    ``bad``, and log what was added and dropped."""
+    dropped = s.intersection(scope) - bad
+    added = bad - s
+    if added or dropped:
+        s -= dropped
+        s |= added
+        log.append((s, added, dropped))
 
 
 def _search(inst: ProblemInstance, strategy: _Strategy) -> SolveReport:
@@ -129,40 +270,51 @@ def _search(inst: ProblemInstance, strategy: _Strategy) -> SolveReport:
                          "within {vdel, edel}")
     allow_v = VDEL in inst.ops
     allow_e = EDEL in inst.ops
+    g = _WorkGraph(inst.graph, strategy.watch)
     nodes = 0
     hit: Optional[tuple] = None
 
-    def recurse(g: WeightedGraph, k: int, pending: frozenset, steps: tuple) -> bool:
+    def recurse(k: int, pending: frozenset, steps: tuple) -> bool:
         nonlocal nodes, hit
         nodes += 1
         if k < 0:
             return False
-        wd = _wdeg(g)
-        while (x := strategy.doomed(g, wd)) is not None:
-            state = _edit(VDEL, x, g, k, pending, steps) if allow_v else None
-            if state is None:
+        log = []  # this node's forced edits, undone when it returns
+        try:
+            while (x := strategy.doomed()) is not None:
+                state = _edit(VDEL, x, g, k, pending, steps) if allow_v else None
+                if state is None:
+                    return False
+                rec, k, pending, steps = state
+                log.append(rec)
+            bad = strategy.violation()
+            if bad is None:
+                if not pending:
+                    hit = steps
+                    return True
+                # forced: keep reducing the least pending edge
+                state = _edit(_REDUCE, min(pending), g, k, pending, steps)
+                if state is None:
+                    return False
+                log.append(state[0])
+                return recurse(*state[1:])
+            if k <= 0:
                 return False
-            g, k, pending, steps = state
-            wd = _wdeg(g)
-        bad = strategy.violation(g, wd)
-        if bad is None:
-            if not pending:
-                hit = steps
-                return True
-            # forced: keep reducing the least pending edge
-            state = _edit(_REDUCE, min(pending), g, k, pending, steps)
-            return state is not None and recurse(*state)
-        if k <= 0:
+            for op, ref in strategy.children(g, bad):
+                if not (allow_v if op == VDEL else allow_e):
+                    continue
+                state = _edit(op, ref, g, k, pending, steps)
+                if state is not None:
+                    found = recurse(*state[1:])
+                    g.undo(state[0])
+                    if found:
+                        return True
             return False
-        for op, ref in strategy.children(g, wd, bad):
-            if not (allow_v if op == VDEL else allow_e):
-                continue
-            state = _edit(op, ref, g, k, pending, steps)
-            if state is not None and recurse(*state):
-                return True
-        return False
+        finally:
+            for rec in reversed(log):
+                g.undo(rec)
 
-    answer = recurse(inst.graph, inst.k, frozenset(), ())
+    answer = recurse(inst.k, frozenset(), ())
     witness = EditScript.build(inst.graph, canonical_steps(hit)) if answer else None
     bound = tr(strategy.factor(inst.constraints.r, allow_e), max(inst.k, 0))
     return SolveReport(answer, witness, nodes, bound)
@@ -176,34 +328,41 @@ class _Wedce(_Strategy):
     list: delete either endpoint, delete the edge, or cut into the weight
     around it until what survives pins the edge degree above its target."""
 
+    def __init__(self, cs):
+        super().__init__(cs)
+        self.off: set = set()  # edges whose edge degree leaves the list
+
     @staticmethod
     def factor(r: int, edel: bool) -> int:
         return 2 * r + 5 if edel else r + 3
 
-    def violation(self, g: WeightedGraph, wd: Dict):
-        for (u, v) in g.edges():
-            if wd[u] + wd[v] not in self.cs.delta_of_edge(u, v):
-                return (u, v)
-        return None
+    def update(self, g: _WorkGraph, change, log: list) -> None:
+        wd, delta = g.wd, self.cs.delta_e
+        near = g.incident(g.touched(change))
+        bad = {e for e in near if wd[e[0]] + wd[e[1]] not in delta[e]}
+        _sync(self.off, near.union(g.gone(change)), bad, log)
 
-    def children(self, g: WeightedGraph, wd: Dict, bad) -> List[Tuple[str, object]]:
+    def violation(self):
+        return min(self.off, default=None)
+
+    def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         u, v = bad
-        t = _max_allowed_at_most(self.cs.delta_of_edge(u, v), wd[u] + wd[v])
+        t = _max_allowed_at_most(self.cs.delta_of_edge(u, v), g.wd[u] + g.wd[v])
         out: List[Tuple[str, object]] = [(VDEL, u), (VDEL, v), (EDEL, bad)]
         if t is None:
             return out
-        others = sorted((g.neighbors(u) | g.neighbors(v)) - {u, v})
-        guarantee = 2 * g.edge_weight(u, v)
+        others = sorted((g.adj[u] | g.adj[v]) - {u, v})
+        guarantee = 2 * g.weight(u, v)
         m_sel: List = []
         chosen: List[tuple] = []
         for x in others:
             if guarantee >= t + 1:
                 break
             cands = []
-            if g.has_edge(x, u):
-                cands.append((g.edge_weight(x, u), edge_key(x, u)))
-            if g.has_edge(x, v):
-                cands.append((g.edge_weight(x, v), edge_key(x, v)))
+            if x in g.adj[u]:
+                cands.append((g.weight(x, u), edge_key(x, u)))
+            if x in g.adj[v]:
+                cands.append((g.weight(x, v), edge_key(x, v)))
             w_best, e_best = max(cands, key=lambda p: (p[0], p[1]))
             m_sel.append(x)
             chosen.append(e_best)
@@ -213,7 +372,7 @@ class _Wedce(_Strategy):
             m_sel = others
             chosen = sorted(
                 e for x in others for e in (edge_key(x, u), edge_key(x, v))
-                if g.has_edge(*e)
+                if e in g.ew
             )
         return out + [(VDEL, x) for x in m_sel] + [(_REDUCE, e) for e in chosen]
 
@@ -234,44 +393,52 @@ class _Were(_Strategy):
     least violator — a degree violation if any, else an edge violating nu —
     drives the branch."""
 
+    def __init__(self, cs):
+        super().__init__(cs)
+        self.low: set = set()      # doomed: degree below the whole list
+        self.off: set = set()      # degree outside the list
+        self.bad_nu: set = set()   # edges whose common count leaves nu
+
     @staticmethod
     def factor(r: int, edel: bool) -> int:
         return 3 * r + 6 if edel else r + 3
 
-    def doomed(self, g: WeightedGraph, wd: Dict):
-        return next(
-            (v for v in g.vertices() if wd[v] < min(self.cs.delta_of_vertex(v))),
-            None,
-        )
+    def update(self, g: _WorkGraph, change, log: list) -> None:
+        cs, wd, adj = self.cs, g.wd, g.adj
+        touched = g.touched(change)
+        here = [(v, cs.delta_of_vertex(v)) for v in touched if v in wd]
+        _sync(self.low, touched, {v for v, dv in here if wd[v] < min(dv)}, log)
+        _sync(self.off, touched, {v for v, dv in here if wd[v] not in dv}, log)
+        near = g.rewired(change)
+        bad = {(a, b) for (a, b) in near if len(adj[a] & adj[b]) not in cs.nu_of(a, b)}
+        _sync(self.bad_nu, {*near, *g.gone(change)}, bad, log)
 
-    def violation(self, g: WeightedGraph, wd: Dict):
+    def doomed(self):
+        return min(self.low, default=None)
+
+    def violation(self):
         """``(v,)`` for the least degree violator, else ``(a, b)`` for the
         least edge violating nu, else None."""
-        cs = self.cs
-        for v in g.vertices():
-            if wd[v] not in cs.delta_of_vertex(v):
-                return (v,)
-        for (a, b) in g.edges():
-            if len(g.neighbors(a) & g.neighbors(b)) not in cs.nu_of(a, b):
-                return (a, b)
-        return None
+        if self.off:
+            return (min(self.off),)
+        return min(self.bad_nu, default=None)
 
-    def children(self, g: WeightedGraph, wd: Dict, bad) -> List[Tuple[str, object]]:
+    def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         out: List[Tuple[str, object]] = []
         if len(bad) == 1:
             (v,) = bad
-            t = _max_allowed_at_most(self.cs.delta_of_vertex(v), wd[v])
+            t = _max_allowed_at_most(self.cs.delta_of_vertex(v), g.wd[v])
             # t exists: degrees below the whole list were deleted as doomed
             out.append((VDEL, v))
             guarantee = 0
-            for x in sorted(g.neighbors(v)):
+            for x in sorted(g.adj[v]):
                 if guarantee >= t + 1:
                     break
                 out += [(VDEL, x), (_REDUCE, edge_key(v, x))]
-                guarantee += g.edge_weight(v, x)
+                guarantee += g.weight(v, x)
             return out
         a, b = bad
-        common = g.neighbors(a) & g.neighbors(b)
+        common = g.adj[a] & g.adj[b]
         t = _max_allowed_at_most(self.cs.nu_of(a, b), len(common))
         out += [(VDEL, a), (VDEL, b), (EDEL, edge_key(a, b))]
         if t is not None:

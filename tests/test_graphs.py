@@ -38,6 +38,14 @@ class TestConstruction:
         assert g.edge_weight(1, 0) == 3
         assert g.neighbors(0) == frozenset({1})
 
+    def test_weight_views_are_read_only(self):
+        g = WeightedGraph({0: 1, 1: 2}, {(1, 0): 3})
+        assert dict(g.vertex_weights()) == {0: 1, 1: 2}
+        assert dict(g.edge_weights()) == {(0, 1): 3}
+        with pytest.raises(TypeError):
+            g.edge_weights()[(0, 1)] = 5
+        assert g.edge_weight(0, 1) == 3
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             WeightedGraph({0: 1}, {(0, 0): 1})

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from dcedit.graphs import WeightedGraph, cycle, petersen, random_graph
+from dcedit.graphs import (
+    WeightedGraph,
+    common_neighbor_count,
+    random_graph,
+    weighted_degree,
+)
 from dcedit.kernelize import kernelize
 from dcedit.oracle import brute_force_solve
 from dcedit.problems import (
@@ -28,7 +33,7 @@ from dcedit.search_tree import (
     tr,
 )
 
-from conftest import uniform_instance
+from conftest import exact_instance, uniform_instance
 
 
 class TestTreeSize:
@@ -285,7 +290,197 @@ class TestPinnedNodeCounts:
              7, 3, 27, 4, 3, 2, 9, 1, 3, 23, 168, 34, 39, 5, 30, 8, 3, 18]
     ANSWERS = "NNNYNYNNNNNNYYNNNYNNNNYYYNYNNNNNNNYN"
 
+    WITNESSES = {
+        3: (("vdel", 0), ("vdel", 1), ("vdel", 3), ("vdel", 5)),
+        5: (("vdel", 0), ("vdel", 1)),
+        12: (("vdel", 0), ("vdel", 1)),
+        13: (("vdel", 2), ("vdel", 4)),
+        17: (("vdel", 0), ("vdel", 1), ("vdel", 3)),
+        22: (("vdel", 0),),
+        23: (("vdel", 0), ("vdel", 4)),
+        24: (("edel", 0, 1), ("edel", 3, 4)),
+        26: (("edel", 1, 2),),
+        34: (("vdel", 2), ("vdel", 4)),
+    }
+
     def test_exact_nodes_visited(self):
         reps = [solve(inst) for inst in _pinned_instances()]
         assert [rep.nodes_visited for rep in reps] == self.NODES
         assert "".join("Y" if rep.answer else "N" for rep in reps) == self.ANSWERS
+        assert {i: rep.witness.steps for i, rep in enumerate(reps)
+                if rep.answer} == self.WITNESSES
+
+
+def _planted(kind, ops, n, k, budget, seed):
+    """A sparse gnp graph G0 plus k unit-weight damage elements: extra edges
+    (when edge deletion is allowed) or extra vertices joined to one to three
+    vertices of G0.  G0's elements keep the lists of ``exact_instance(G0)``,
+    the damage its own measures in the damaged graph, so deleting the damage
+    is a YES at budget k ("yes"); budget k-1 ("short") is mostly NO."""
+    rng = random.Random(seed)
+    g0 = random_graph(n, rng.uniform(2.5, 4.5) / (n - 1), seed=rng.randrange(2 ** 31))
+    g = g0
+    for _ in range(k):
+        if EDEL in ops and rng.random() < 0.5:
+            while True:
+                u, v = sorted(rng.sample(range(n), 2))
+                if not g.has_edge(u, v):
+                    g = g.add_edge(u, v)
+                    break
+        else:
+            x = g.n
+            g = g.add_vertex(x)
+            for u in rng.sample(range(n), rng.randint(1, 3)):
+                g = g.add_edge(u, x)
+    old = exact_instance(kind, g0, 0, ops).constraints
+    new = exact_instance(kind, g, 0, ops).constraints
+    if kind == WEDCE:
+        cs = ConstraintSet(r=max(old.r, new.r), delta_e={**new.delta_e, **old.delta_e})
+    else:
+        cs = ConstraintSet(r=max(old.r, new.r), lam=max(old.lam, new.lam),
+                           delta_v={**new.delta_v, **old.delta_v},
+                           nu={**new.nu, **old.nu}, nu_default={0})
+    return ProblemInstance(kind, g, cs, ops, k if budget == "yes" else k - 1)
+
+
+# (kind, ops, n, k, budget, seed), at the sizes the benchmark runs
+PLANTED = [
+    (WEDCE, {VDEL, EDEL}, 30, 3, "yes", 2),
+    (WEDCE, {VDEL, EDEL}, 60, 3, "short", 2),
+    (WEDCE, {VDEL, EDEL}, 120, 3, "yes", 1),
+    (WEDCE, {VDEL}, 60, 3, "yes", 0),
+    (WEDCE, {VDEL}, 120, 3, "short", 0),
+    (WERE, {VDEL, EDEL}, 60, 3, "yes", 2),
+    (WERE, {VDEL, EDEL}, 120, 3, "short", 1),
+    (WERE, {VDEL}, 30, 3, "short", 2),
+    (WERE, {VDEL}, 120, 3, "yes", 0),
+]
+
+
+class TestPinnedPlanted:
+    # Recorded before the search ran on one in-place working graph: answers,
+    # node counts and canonical witnesses at benchmark sizes must not move.
+    EXPECTED = [
+        (464, (("vdel", 21), ("vdel", 30), ("edel", 11, 26))),
+        (319, None),
+        (483, (("vdel", 48), ("vdel", 120), ("edel", 63, 97))),
+        (139, (("vdel", 60), ("vdel", 61), ("vdel", 62))),
+        (82, None),
+        (77, (("vdel", 60), ("edel", 23, 53), ("edel", 42, 51))),
+        (42, None),
+        (16, None),
+        (21, (("vdel", 120), ("vdel", 121), ("vdel", 122))),
+    ]
+
+    def test_exact_nodes_and_witnesses(self):
+        got = []
+        for spec in PLANTED:
+            rep = solve(_planted(*spec))
+            assert rep.answer == (rep.witness is not None)
+            got.append((rep.nodes_visited, rep.witness and rep.witness.steps))
+        assert got == self.EXPECTED
+
+    def test_nodes_build_no_graphs(self, monkeypatch):
+        # nodes edit one working graph in place; only the witness, re-priced
+        # against the input, builds graphs: one per step
+        inst = _planted(*PLANTED[2])
+        builds = 0
+        init = WeightedGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            nonlocal builds
+            builds += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WeightedGraph, "__init__", counting)
+        rep = solve(inst)
+        assert rep.answer and rep.nodes_visited > 400
+        assert builds <= len(rep.witness.steps)
+
+
+def _full_scan(inst, g):
+    """The strategy's view of ``g`` from scratch: its violation sets by
+    attribute name, the least doomed vertex (WERE only), and the first
+    violation in sorted order, as the search defines it."""
+    cs = inst.constraints
+    wd = {v: weighted_degree(g, v) for v in g.vertices()}
+    if inst.kind == WEDCE:
+        off = [(u, v) for (u, v) in g.edges() if wd[u] + wd[v] not in cs.delta_of_edge(u, v)]
+        return {"off": set(off)}, None, next(iter(off), None)
+    low = [v for v in g.vertices() if wd[v] < min(cs.delta_of_vertex(v))]
+    off = [v for v in g.vertices() if wd[v] not in cs.delta_of_vertex(v)]
+    bad_nu = [(a, b) for (a, b) in g.edges()
+              if common_neighbor_count(g, a, b) not in cs.nu_of(a, b)]
+    bad = (off[0],) if off else next(iter(bad_nu), None)
+    return ({"low": set(low), "off": set(off), "bad_nu": set(bad_nu)},
+            next(iter(low), None), bad)
+
+
+class TestWorkGraphUndo:
+    def _check(self, inst, work, strategy, g):
+        vs = g.vertices()
+        assert work.vw == {v: g.vertex_weight(v) for v in vs}
+        assert work.ew == {e: g.edge_weight(*e) for e in g.edges()}
+        assert work.adj == {v: set(g.neighbors(v)) for v in vs}
+        assert work.wd == {v: weighted_degree(g, v) for v in vs}
+        sets, doomed, bad = _full_scan(inst, g)
+        assert {name: val for name, val in vars(strategy).items()
+                if isinstance(val, set)} == sets
+        assert (strategy.doomed(), strategy.violation()) == (doomed, bad)
+
+    def test_seeded_walk_matches_rebuilt_graph(self):
+        # random deletions and reweightings, undone in stack order, against
+        # the same edits made on immutable graphs
+        rng = random.Random(31)
+        for inst in _pinned_instances():
+            strategy = (search_tree._Wedce if inst.kind == WEDCE
+                        else search_tree._Were)(inst.constraints)
+            work = search_tree._WorkGraph(inst.graph, strategy.watch)
+            history, records = [inst.graph], []
+            self._check(inst, work, strategy, inst.graph)
+            for _ in range(60):
+                g = history[-1]
+                if not g.n or (records and rng.random() < 0.4):
+                    work.undo(records.pop())
+                    history.pop()
+                elif not g.m or rng.random() < 0.3:
+                    v = rng.choice(g.vertices())
+                    records.append(work.delete_vertex(v))
+                    history.append(g.delete_vertex(v))
+                else:
+                    e = rng.choice(g.edges())
+                    w = rng.randrange(g.edge_weight(*e))  # 0 deletes
+                    records.append(work.set_edge_weight(e, w))
+                    history.append(g.set_edge_weight(*e, w) if w else g.delete_edge(*e))
+                self._check(inst, work, strategy, history[-1])
+            while records:
+                work.undo(records.pop())
+                history.pop()
+                self._check(inst, work, strategy, history[-1])
+
+    def test_search_undoes_in_stack_order(self, monkeypatch):
+        # a search undoes every edit: each child after it returns, a node's
+        # forced deletions and pending-edge reductions when the node exits;
+        # so each undo must bring back the graph its edit started from
+        edit, undo = search_tree._edit, search_tree._WorkGraph.undo
+        before = {}
+
+        def snapshot(g):
+            return dict(g.vw), dict(g.ew), {v: set(ns) for v, ns in g.adj.items()}, dict(g.wd)
+
+        def recording_edit(op, ref, g, *rest):
+            start = snapshot(g)
+            state = edit(op, ref, g, *rest)
+            if state is not None:
+                before[id(state[0])] = state[0], start  # held: ids stay unique
+            return state
+
+        def checked_undo(g, rec):
+            undo(g, rec)
+            assert snapshot(g) == before.pop(id(rec))[1]
+
+        monkeypatch.setattr(search_tree, "_edit", recording_edit)
+        monkeypatch.setattr(search_tree._WorkGraph, "undo", checked_undo)
+        for inst in _pinned_instances():
+            solve(inst)
+            assert not before
