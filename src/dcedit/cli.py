@@ -3,7 +3,8 @@
 Subcommands: solve, kernelize, verify, oracle, gen, tw.  Answers go to
 stdout in a fixed, byte-stable layout (canonical edit order, sorted ids);
 diagnostics, kernel traces and --stats counters go to stderr.  Exit codes:
-0 = yes / verified, 1 = no / rejected, 2 = any error.
+0 = yes / verified, 1 = no / rejected, 2 = any error.  From a checkout:
+``PYTHONPATH=src python3 -m dcedit.cli <subcommand> ...``.
 """
 
 from __future__ import annotations
@@ -127,6 +128,11 @@ def _cmd_kernelize(args) -> int:
 def _cmd_verify(args) -> int:
     inst = parse_instance(_read(args.file))
     steps = parse_script(_read(args.script))
+    for i, step in enumerate(steps):
+        if step[0] not in inst.ops:
+            print(f"INVALID: step {i} ({step!r}) uses {step[0]}, "
+                  "which the instance does not allow")
+            return 1
     try:
         script = EditScript.build(inst.graph, canonical_steps(steps))
     except ValueError as exc:
@@ -218,3 +224,7 @@ def run_cli(argv: List[str]) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

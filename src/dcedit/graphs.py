@@ -114,6 +114,10 @@ class WeightedGraph:
         """Read-only view of the map from ``edge_key`` pairs to weights."""
         return MappingProxyType(self._ew)
 
+    def adjacency(self) -> Mapping:
+        """Read-only view of the map from each vertex to its neighbour set."""
+        return MappingProxyType(self._adj)
+
     def neighbors(self, v) -> frozenset:
         return self._adj[v]
 

@@ -1,11 +1,11 @@
 """Clean regions, reduction rules, and kernel-size bounds.
 
 The rules operate on *-variant instances (every consulted constraint list
-a singleton).  A clean region is a maximal connected set of vertices whose
-local constraints are all exactly satisfied; its boundary B(C) collects
-the external neighbours, and layer C_i holds the region vertices at
-distance i from B(C) (distances measured in the whole graph; layers start
-at 1).
+a singleton).  A clean region is a maximal connected set of vertices that
+lie on no violated constraint (``problems.violations``, the one definition
+of what each kind checks); its boundary B(C) collects the external
+neighbours, and layer C_i holds the region vertices at distance i from
+B(C) (distances measured in the whole graph; layers start at 1).
 
 Rule application is a pure instance-to-instance step.  Each rule returns
 ``(new_instance, TraceStep)`` or ``None`` when it does not apply; the
@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .graphs import WeightedGraph, common_neighbor_count, edge_key, weighted_degree
+from .graphs import WeightedGraph, edge_key, weighted_degree
 from .problems import (
     EDEL,
     VDEL,
@@ -36,7 +36,9 @@ from .problems import (
     WERE,
     WSRE,
     ProblemInstance,
+    measures,
     star_violation,
+    violations,
 )
 
 
@@ -73,42 +75,14 @@ def _require_star(inst: ProblemInstance):
         raise ValueError(f"rules need a *-variant instance: {why}")
 
 
-def _the(vals: frozenset) -> int:
-    """The sole member of a singleton constraint list."""
-    (x,) = vals
-    return x
-
-
 def _clean_vertices(inst: ProblemInstance) -> set:
-    g, cs = inst.graph, inst.constraints
-    clean = set()
-    if inst.kind == WEDCE:
-        edge_clean = {
-            e: cs.delta_of_edge(*e) == frozenset((weighted_degree(g, e[0])
-                                                  + weighted_degree(g, e[1]),))
-            for e in g.edges()
-        }
-        for v in g.vertices():
-            if all(edge_clean[edge_key(v, u)] for u in g.neighbors(v)):
-                clean.add(v)
-        return clean
-    for v in g.vertices():
-        if weighted_degree(g, v) != _the(cs.delta_of_vertex(v)):
-            continue
-        if any(
-            common_neighbor_count(g, v, u) != _the(cs.nu_of(v, u))
-            for u in g.neighbors(v)
-        ):
-            continue
-        if inst.kind == WSRE:
-            others = set(g.vertices()) - g.neighbors(v) - {v}
-            if any(
-                common_neighbor_count(g, v, u) != _the(cs.xi_of(v, u))
-                for u in others
-            ):
-                continue
-        clean.add(v)
-    return clean
+    """The vertices that lie on no violated constraint."""
+    g = inst.graph
+    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights(), inst.kind)
+    dirty = set()
+    for item in violations(inst, m):
+        dirty.update(item)
+    return set(m.verts) - dirty
 
 
 def find_clean_regions(inst: ProblemInstance) -> List[CleanRegion]:
@@ -386,21 +360,15 @@ def _shrink_region(inst: ProblemInstance, region: CleanRegion, depth: int,
             carrier, min(inst.k + 1, g.vertex_weight(carrier) + absorbed)
         )
     cs = _prune_dead(inst.constraints, new_g)
+    m = measures(new_g.vertices(), new_g.edges(), new_g.adjacency(),
+                 new_g.edge_weights(), inst.kind)
     delta_v = dict(cs.delta_v)
-    for v in kept_sorted:
-        delta_v[v] = frozenset((weighted_degree(new_g, v),))
+    delta_v.update((v, {d}) for v, d in zip(m.verts, m.wdeg) if v in kept)
     nu = dict(cs.nu)
+    nu.update((e, {c}) for e, c in zip(m.edges, m.ecom) if kept.intersection(e))
     xi = dict(cs.xi)
-    everyone = new_g.vertices()
-    for v in kept_sorted:
-        for u in everyone:
-            if u == v:
-                continue
-            count = frozenset((common_neighbor_count(new_g, v, u),))
-            if new_g.has_edge(v, u):
-                nu[edge_key(v, u)] = count
-            elif inst.kind == WSRE:
-                xi[edge_key(v, u)] = count
+    if inst.kind == WSRE:
+        xi.update((p, {c}) for p, c in zip(m.pairs, m.pcom) if kept.intersection(p))
     new_cs = _patched(cs, delta_v=delta_v, nu=nu, xi=xi)
     new = inst.replace(graph=new_g, constraints=new_cs)
     if new == inst:

@@ -9,7 +9,9 @@ endpoints surviving (re-adding a just-deleted edge is never minimal).
 
 Enumeration is cached per (graph, budget, adds?) so sweeping many
 constraint sets over one graph — the typical test workload — prices each
-edit set once.
+edit set once.  Each cached candidate carries the full ``problems.measures``
+of its result, so one universe serves every kind, and a candidate is tested
+with ``problems.violations``, the one definition of what each kind checks.
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ from .problems import (
     EADD,
     EDEL,
     VDEL,
-    WDCE,
-    WEDCE,
-    WERE,
     EditScript,
+    Measures,
     ProblemInstance,
-    canonical_steps,
+    measures,
     step_sort_key,
+    violations,
 )
 
 ORACLE_MAX_VERTICES = 10
@@ -65,23 +66,17 @@ def _weighted_subsets(items, cap):
 
 
 class _Candidate:
-    """One edit set plus everything a constraint check needs about its result."""
+    """One edit set (cost, canonical steps, operation mask) plus the
+    ``Measures`` fields of its result."""
 
-    __slots__ = ("cost", "steps", "mask", "verts", "wdeg", "edges", "edeg",
-                 "ecom", "pairs", "pcom")
+    __slots__ = ("cost", "steps", "mask") + Measures._fields
 
-    def __init__(self, cost, steps, mask, verts, wdeg, edges, edeg, ecom,
-                 pairs, pcom):
+    def __init__(self, cost, steps, mask, m: Measures):
         self.cost = cost
         self.steps = steps
         self.mask = mask
-        self.verts = verts
-        self.wdeg = wdeg
-        self.edges = edges
-        self.edeg = edeg
-        self.ecom = ecom
-        self.pairs = pairs
-        self.pcom = pcom
+        (self.verts, self.wdeg, self.edges, self.edeg, self.ecom, self.pairs,
+         self.pcom) = m
 
 
 @lru_cache(maxsize=128)
@@ -96,7 +91,7 @@ def _universe(g: WeightedGraph, cap: int, include_adds: bool):
     out = []
     for dv, cv in _weighted_subsets(vitems, cap):
         dvset = set(dv)
-        surv = [v for v in all_vs if v not in dvset]
+        verts = tuple(v for v in all_vs if v not in dvset)
         surv_es = [e for e in all_es if e[0] not in dvset and e[1] not in dvset]
         eitems = [(e, ew[e]) for e in surv_es]
         addable = [p for p in nonedges if p[0] not in dvset and p[1] not in dvset]
@@ -112,61 +107,27 @@ def _universe(g: WeightedGraph, cap: int, include_adds: bool):
             deset = set(de)
             for added in add_choices:
                 cost = cv + ce + len(added)
-                nbr = {v: set() for v in surv}
-                wdeg = dict.fromkeys(surv, 0)
+                nbr = {v: set() for v in verts}
                 final_edges = [e for e in surv_es if e not in deset] + list(added)
                 final_edges.sort()
                 for (u, v) in final_edges:
-                    w = ew.get((u, v), 1)
                     nbr[u].add(v)
                     nbr[v].add(u)
-                    wdeg[u] += w
-                    wdeg[v] += w
+                # subsets keep their input's sorted order, so this is canonical
                 steps = tuple(
                     [(VDEL, v) for v in dv]
                     + [(EDEL,) + e for e in de]
                     + [(EADD,) + p for p in added]
                 )
                 mask = (1 if dv else 0) | (2 if de else 0) | (4 if added else 0)
-                verts = tuple(surv)
-                wdegs = tuple(wdeg[v] for v in surv)
-                edeg = tuple(wdeg[u] + wdeg[v] for (u, v) in final_edges)
-                ecom = tuple(len(nbr[u] & nbr[v]) for (u, v) in final_edges)
-                pairs = []
-                pcom = []
-                for i, u in enumerate(verts):
-                    for v in verts[i + 1:]:
-                        if v not in nbr[u]:
-                            pairs.append((u, v))
-                            pcom.append(len(nbr[u] & nbr[v]))
-                out.append(_Candidate(cost, canonical_steps(steps), mask, verts,
-                                      wdegs, tuple(final_edges), edeg, ecom,
-                                      tuple(pairs), tuple(pcom)))
+                out.append(_Candidate(cost, steps, mask,
+                                      measures(verts, tuple(final_edges), nbr, ew)))
     out.sort(key=lambda c: (c.cost, tuple(step_sort_key(s) for s in c.steps)))
     return tuple(out)
 
 
 def _candidate_satisfies(inst: ProblemInstance, cand: _Candidate) -> bool:
-    cs = inst.constraints
-    kind = inst.kind
-    if kind == WEDCE:
-        de = cs.delta_of_edge
-        return all(d in de(*e) for e, d in zip(cand.edges, cand.edeg))
-    dv = cs.delta_of_vertex
-    for v, d in zip(cand.verts, cand.wdeg):
-        if d not in dv(v):
-            return False
-    if kind == WDCE:
-        return True
-    for e, c in zip(cand.edges, cand.ecom):
-        if c not in cs.nu_of(*e):
-            return False
-    if kind == WERE:
-        return True
-    for p, c in zip(cand.pairs, cand.pcom):
-        if c not in cs.xi_of(*p):
-            return False
-    return True
+    return next(violations(inst, cand), None) is None
 
 
 def brute_force_solve(inst: ProblemInstance) -> OracleResult:

@@ -1,4 +1,4 @@
-"""Problem instances: constraint sets, edit scripts, and the four checkers.
+"""Problem instances: constraint sets, edit scripts, and the one checker.
 
 The four problem kinds share one instance model:
 
@@ -8,6 +8,11 @@ The four problem kinds share one instance model:
 * ``WERE``  — vertex lists plus a common-neighbour list nu(u,v) on edges.
 * ``WSRE``  — WERE plus a list xi(u,v) on non-adjacent pairs.
 
+``measures`` and ``violations`` are the one definition of what each kind
+checks; ``check_constraints``, the oracle, the clean-region finder and
+``exact_instance`` read them.  The search trees keep incremental checks of
+their own, so the oracle is an independent reference for them.
+
 Allowed operations are vertex deletion, edge deletion and edge addition
 (``vdel``/``edel``/``eadd``); an edit script is billed at the deleted
 element's weight, and added edges always carry weight and cost 1.
@@ -16,14 +21,9 @@ element's weight, and added edges always carry weight and cost 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
-from .graphs import (
-    WeightedGraph,
-    common_neighbor_count,
-    edge_key,
-    weighted_degree,
-)
+from .graphs import WeightedGraph, edge_key
 
 WDCE = "WDCE"
 WEDCE = "WEDCE"
@@ -286,20 +286,20 @@ def uniform_instance(kind: str, g: WeightedGraph, r: int, k: int, ops: Iterable[
 def exact_instance(kind: str, g: WeightedGraph, k: int, ops: Iterable[str]) -> ProblemInstance:
     """Every list pinned to the singleton of g's current measure, so the
     instance holds as-is; r, lambda and mu are the largest measures."""
-    degs = {v: weighted_degree(g, v) for v in g.vertices()}
+    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights(), kind)
     if kind == WEDCE:
-        de = {e: {degs[e[0]] + degs[e[1]]} for e in g.edges()}
-        cs = ConstraintSet(r=max((max(s) for s in de.values()), default=0), delta_e=de)
+        cs = ConstraintSet(r=max(m.edeg, default=0),
+                           delta_e={e: {d} for e, d in zip(m.edges, m.edeg)})
         return ProblemInstance(kind=kind, graph=g, constraints=cs, ops=ops, k=k)
     lam = mu = nu = xi = None
     if kind in (WERE, WSRE):
-        nu = {e: {common_neighbor_count(g, *e)} for e in g.edges()}
-        lam = max((max(s) for s in nu.values()), default=0)
+        nu = {e: {c} for e, c in zip(m.edges, m.ecom)}
+        lam = max(m.ecom, default=0)
     if kind == WSRE:
-        xi = {p: {common_neighbor_count(g, *p)} for p in g.non_adjacent_pairs()}
-        mu = max((max(s) for s in xi.values()), default=0)
-    cs = ConstraintSet(r=max(degs.values(), default=0), lam=lam, mu=mu,
-                       delta_v={v: {d} for v, d in degs.items()}, nu=nu, xi=xi,
+        xi = {p: {c} for p, c in zip(m.pairs, m.pcom)}
+        mu = max(m.pcom, default=0)
+    cs = ConstraintSet(r=max(m.wdeg, default=0), lam=lam, mu=mu,
+                       delta_v={v: {d} for v, d in zip(m.verts, m.wdeg)}, nu=nu, xi=xi,
                        nu_default={0} if lam is not None else None,
                        xi_default={0} if mu is not None else None)
     return ProblemInstance(kind=kind, graph=g, constraints=cs, ops=ops, k=k)
@@ -393,30 +393,85 @@ def script_cost(g: WeightedGraph, steps: Iterable[tuple]) -> int:
 # -- constraint checking ----------------------------------------------------
 
 
+class Measures(NamedTuple):
+    """A graph's measures as parallel sorted tuples: weighted degrees of
+    ``verts``; edge degrees and common-neighbour counts of ``edges``;
+    common-neighbour counts of the non-adjacent ``pairs``.  None where
+    uncomputed."""
+
+    verts: tuple
+    wdeg: tuple
+    edges: tuple
+    edeg: Optional[tuple]
+    ecom: Optional[tuple]
+    pairs: Optional[tuple]
+    pcom: Optional[tuple]
+
+
+def measures(verts: tuple, edges: tuple, adj: Mapping, weights: Mapping,
+             kind: Optional[str] = None) -> Measures:
+    """The measures ``kind`` reads (all of them for None) of the graph on
+    sorted ``verts`` and edge keys ``edges``, with neighbour sets ``adj``;
+    an edge missing from ``weights`` is an added one, of weight 1."""
+    wdeg = dict.fromkeys(verts, 0)
+    for e in edges:
+        w = weights.get(e, 1)
+        wdeg[e[0]] += w
+        wdeg[e[1]] += w
+    edeg = ecom = pairs = pcom = None
+    if kind in (WEDCE, None):
+        edeg = tuple([wdeg[u] + wdeg[v] for u, v in edges])
+    if kind in (WERE, WSRE, None):
+        ecom = tuple([len(adj[u] & adj[v]) for u, v in edges])
+    if kind in (WSRE, None):
+        pairs = []
+        pcom = []
+        for i, u in enumerate(verts):
+            nu = adj[u]
+            for v in verts[i + 1:]:
+                if v not in nu:
+                    pairs.append((u, v))
+                    pcom.append(len(nu & adj[v]))
+        pairs, pcom = tuple(pairs), tuple(pcom)
+    return Measures(verts, tuple(wdeg.values()), edges, edeg, ecom, pairs, pcom)
+
+
+def violations(inst: ProblemInstance, m: Measures) -> Iterator[tuple]:
+    """Each constraint of ``inst`` that ``m`` breaks, as ``(v,)`` or ``(u, v)``:
+    WEDCE edge degrees; else vertex degrees, then nu on edges (WERE, WSRE),
+    then xi on non-adjacent pairs (WSRE)."""
+    cs = inst.constraints
+    kind = inst.kind
+    # A stored list is never empty; on a miss, try the default, then the accessor.
+    if kind == WEDCE:
+        stored = cs.delta_e.get
+        for e, d in zip(m.edges, m.edeg):
+            if d not in (stored(e) or cs.delta_of_edge(*e)):
+                yield e
+        return
+    stored = cs.delta_v.get
+    for v, d in zip(m.verts, m.wdeg):
+        if d not in (stored(v) or cs.delta_of_vertex(v)):
+            yield (v,)
+    if kind == WDCE:
+        return
+    stored, default = cs.nu.get, cs.nu_default
+    for e, c in zip(m.edges, m.ecom):
+        if c not in (stored(e) or default or cs.nu_of(*e)):
+            yield e
+    if kind == WERE:
+        return
+    stored, default = cs.xi.get, cs.xi_default
+    for p, c in zip(m.pairs, m.pcom):
+        if c not in (stored(p) or default or cs.xi_of(*p)):
+            yield p
+
+
 def check_constraints(inst: ProblemInstance, g: WeightedGraph) -> bool:
     """Does the edited graph ``g`` satisfy ``inst``'s constraints?
 
     ``g`` is expected to be an edited descendant of ``inst.graph``; stored
     constraint lists are looked up under the original (stable) ids.
     """
-    cs = inst.constraints
-    kind = inst.kind
-    if kind == WEDCE:
-        return all(
-            weighted_degree(g, u) + weighted_degree(g, v) in cs.delta_of_edge(u, v)
-            for (u, v) in g.edges()
-        )
-    for v in g.vertices():
-        if weighted_degree(g, v) not in cs.delta_of_vertex(v):
-            return False
-    if kind == WDCE:
-        return True
-    for (u, v) in g.edges():
-        if common_neighbor_count(g, u, v) not in cs.nu_of(u, v):
-            return False
-    if kind == WERE:
-        return True
-    for (u, v) in g.non_adjacent_pairs():
-        if common_neighbor_count(g, u, v) not in cs.xi_of(u, v):
-            return False
-    return True
+    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights(), inst.kind)
+    return next(violations(inst, m), None) is None

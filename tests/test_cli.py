@@ -5,8 +5,14 @@ the real writers; tests capture stdout/stderr with capsys and files live
 in tmp_path.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dcedit
 from dcedit.cli import run_cli
 from dcedit.instance_io import parse_instance, serialize_instance
 from dcedit.oracle import brute_force_solve
@@ -85,6 +91,21 @@ class TestVerify:
         script.write_text("vdel 9\n")
         assert run_cli(["verify", k13_file, str(script)]) == 1
         assert "no vertex" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("instance, edit", [
+        ("problem WDCE\nops vdel\nk 1\nr 1\nvertex 0 delta={0}\n"
+         "vertex 1 delta={0}\nedge 0 1\n", "edel 0 1"),
+        (K13, "eadd 0 1"),
+    ], ids=["wdce-edel", "wedce-eadd"])
+    def test_rejects_disallowed_operation(self, instance, edit, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        inst.write_text(instance)
+        script = tmp_path / "edit.script"
+        script.write_text(edit + "\n")
+        assert run_cli(["verify", str(inst), str(script)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("INVALID: step 0") and out.count("\n") == 1
+        assert "does not allow" in out
 
     def test_rejects_unsatisfying_script(self, k13_file, tmp_path, capsys):
         script = tmp_path / "noop.script"
@@ -205,6 +226,28 @@ class TestExitCodes:
     def test_no_arguments(self, capsys):
         assert run_cli([]) == 2
         capsys.readouterr()
+
+
+def test_module_entry_point(tmp_path):
+    """``python3 -m dcedit.cli`` runs the CLI: exit codes reach the shell."""
+    src = str(Path(dcedit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "dcedit.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    assert cli("warp").returncode == 2
+    inst, script = tmp_path / "c5.wsre", tmp_path / "c5.script"
+    gen = cli("gen", "cycle", "5", "--kind", "WSRE", "--k", "1")
+    assert gen.returncode == 0
+    inst.write_text(gen.stdout)
+    solved = cli("solve", str(inst))
+    assert solved.returncode == 0
+    script.write_text(solved.stdout)
+    verified = cli("verify", str(inst), str(script))
+    assert (verified.returncode, verified.stdout) == (0, "OK cost=0\n")
 
 
 def test_byte_determinism_across_pipeline(tmp_path, capsys):

@@ -16,8 +16,10 @@ from dcedit.problems import (
     apply_edit_script,
     canonical_steps,
     check_constraints,
+    measures,
     script_cost,
     star_violation,
+    violations,
 )
 
 from conftest import exact_instance, star_graph, uniform_instance
@@ -126,32 +128,51 @@ class TestStarViolation:
         assert "nu" in star_violation(inst)
 
 
+def broken(inst, g):
+    """Every constraint of ``inst`` that ``g`` breaks, in checking order."""
+    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights(), inst.kind)
+    return list(violations(inst, m))
+
+
 class TestCheckConstraints:
     def test_wdce_checks_vertex_degrees(self):
         inst = uniform_instance(WDCE, cycle(4), r=2, k=0, ops={VDEL})
         assert check_constraints(inst, inst.graph)
+        assert broken(inst, inst.graph) == []
+        assert broken(inst, inst.graph.delete_edge(0, 1)) == [(0,), (1,)]
 
     def test_wedce_checks_edge_degrees_only(self):
         inst = uniform_instance(WEDCE, cycle(4), r=4, k=0, ops={VDEL})
         assert check_constraints(inst, inst.graph)
         assert not check_constraints(inst, inst.graph.delete_edge(0, 1))
+        assert broken(inst, inst.graph.delete_edge(0, 1)) == [(0, 3), (1, 2)]
 
     def test_were_consults_nu_on_edges(self):
         inst = uniform_instance(WERE, complete(3), r=2, k=0, ops={VDEL}, lam=1)
         assert check_constraints(inst, inst.graph)
+        assert broken(inst, inst.graph) == []
         bad = uniform_instance(WERE, complete(3), r=2, k=0, ops={VDEL}, lam=0)
         assert not check_constraints(bad, bad.graph)
+        assert broken(bad, bad.graph) == [(0, 1), (0, 2), (1, 2)]
 
     def test_wsre_consults_xi_on_non_adjacent_pairs(self):
         inst = uniform_instance(WSRE, cycle(5), r=2, k=0, ops={VDEL}, lam=0, mu=1)
         assert check_constraints(inst, inst.graph)
+        assert broken(inst, inst.graph) == []
         bad = uniform_instance(WSRE, cycle(5), r=2, k=0, ops={VDEL}, lam=0, mu=0)
         assert not check_constraints(bad, bad.graph)
+        assert broken(bad, bad.graph) == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
+        # vertices, then edges, then non-adjacent pairs
+        worst = uniform_instance(WSRE, cycle(5), r=3, k=0, ops={VDEL}, lam=1, mu=0)
+        assert broken(worst, worst.graph) == (
+            [(v,) for v in range(5)] + list(cycle(5).edges())
+            + [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)])
 
     def test_exact_instances_always_satisfied(self):
         for kind in (WDCE, WEDCE, WERE, WSRE):
             inst = exact_instance(kind, cycle(6), k=0, ops={VDEL})
             assert check_constraints(inst, inst.graph), kind
+            assert broken(inst, inst.graph) == [], kind
 
 
 class TestEditScripts:
