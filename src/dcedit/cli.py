@@ -5,11 +5,17 @@ stdout in a fixed, byte-stable layout (canonical edit order, sorted ids);
 diagnostics, kernel traces and --stats counters go to stderr.  Exit codes:
 0 = yes / verified, 1 = no / rejected, 2 = any error.  From a checkout:
 ``PYTHONPATH=src python3 -m dcedit.cli <subcommand> ...``.
+
+The argument parser is built once per process, on the first ``run_cli``
+call, so in-process callers (tests, ``perfbench``) pay for it once.  argparse
+reads ``sys.stdout``/``sys.stderr`` and the terminal width when it prints,
+not when it is built, so help and usage errors are unchanged by the reuse.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -40,6 +46,7 @@ from .treewidth import solve_induced_regular, solve_regular_subgraph, solve_with
 GEN_FAMILIES = ("complete", "cycle", "petersen", "gnp")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="dcedit",
                                   description="degree-constraint edit solvers")

@@ -18,7 +18,6 @@ from .problems import (
     EDEL,
     KINDS,
     VDEL,
-    WDCE,
     WEDCE,
     WERE,
     WSRE,

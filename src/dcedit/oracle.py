@@ -12,6 +12,8 @@ constraint sets over one graph — the typical test workload — prices each
 edit set once.  Each cached candidate carries the full ``problems.measures``
 of its result, so one universe serves every kind, and a candidate is tested
 with ``problems.violations``, the one definition of what each kind checks.
+A universe stores each step tuple and each distinct measure tuple once; its
+candidates share them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 from .graphs import WeightedGraph
 from .problems import (
@@ -67,16 +69,16 @@ def _weighted_subsets(items, cap):
 
 class _Candidate:
     """One edit set (cost, canonical steps, operation mask) plus the
-    ``Measures`` fields of its result."""
+    ``Measures`` fields of its result, in ``Measures`` order."""
 
     __slots__ = ("cost", "steps", "mask") + Measures._fields
 
-    def __init__(self, cost, steps, mask, m: Measures):
+    def __init__(self, cost, steps, mask, fields):
         self.cost = cost
         self.steps = steps
         self.mask = mask
         (self.verts, self.wdeg, self.edges, self.edeg, self.ecom, self.pairs,
-         self.pcom) = m
+         self.pcom) = fields
 
 
 @lru_cache(maxsize=128)
@@ -87,6 +89,14 @@ def _universe(g: WeightedGraph, cap: int, include_adds: bool):
     ew = {e: g.edge_weight(*e) for e in all_es}
     vitems = [(v, g.vertex_weight(v)) for v in all_vs]
     nonedges = tuple(g.non_adjacent_pairs())
+    # candidates share step and measure tuples, so cached universes stay
+    # small; each step's sort key is computed once
+    vstep = {v: (VDEL, v) for v in all_vs}
+    estep = {e: (EDEL,) + e for e in all_es}
+    astep = {p: (EADD,) + p for p in nonedges}
+    step_key = {s: step_sort_key(s)
+                for d in (vstep, estep, astep) for s in d.values()}.__getitem__
+    shared = {}.setdefault
 
     out = []
     for dv, cv in _weighted_subsets(vitems, cap):
@@ -115,14 +125,14 @@ def _universe(g: WeightedGraph, cap: int, include_adds: bool):
                     nbr[v].add(u)
                 # subsets keep their input's sorted order, so this is canonical
                 steps = tuple(
-                    [(VDEL, v) for v in dv]
-                    + [(EDEL,) + e for e in de]
-                    + [(EADD,) + p for p in added]
+                    [vstep[v] for v in dv]
+                    + [estep[e] for e in de]
+                    + [astep[p] for p in added]
                 )
                 mask = (1 if dv else 0) | (2 if de else 0) | (4 if added else 0)
-                out.append(_Candidate(cost, steps, mask,
-                                      measures(verts, tuple(final_edges), nbr, ew)))
-    out.sort(key=lambda c: (c.cost, tuple(step_sort_key(s) for s in c.steps)))
+                m = measures(verts, tuple(final_edges), nbr, ew)
+                out.append(_Candidate(cost, steps, mask, [shared(f, f) for f in m]))
+    out.sort(key=lambda c: (c.cost, tuple(map(step_key, c.steps))))
     return tuple(out)
 
 

@@ -5,6 +5,7 @@ the real writers; tests capture stdout/stderr with capsys and files live
 in tmp_path.
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -14,11 +15,8 @@ import pytest
 
 import dcedit
 from dcedit.cli import run_cli
-from dcedit.instance_io import parse_instance, serialize_instance
+from dcedit.instance_io import parse_instance
 from dcedit.oracle import brute_force_solve
-from dcedit.problems import VDEL, EDEL, WEDCE
-
-from conftest import uniform_instance
 
 K13 = """\
 problem WEDCE
@@ -228,25 +226,72 @@ class TestExitCodes:
         capsys.readouterr()
 
 
-def test_module_entry_point(tmp_path):
-    """``python3 -m dcedit.cli`` runs the CLI: exit codes reach the shell."""
+def fresh_cli(*argv):
+    """Run ``python3 -m dcedit.cli`` in a new process on this checkout."""
     src = str(Path(dcedit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "dcedit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
-    def cli(*argv):
-        return subprocess.run([sys.executable, "-m", "dcedit.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
 
-    assert cli("warp").returncode == 2
+class TestParserReuse:
+    """run_cli builds its parser once per process; reuse leaks nothing
+    from one call into the next."""
+
+    def test_parser_built_once(self, k13_file, monkeypatch, capsys):
+        run_cli(["gen", "cycle", "5"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(10):
+            assert run_cli(["gen", "cycle", "5"]) == 0
+            assert run_cli(["solve", k13_file, "--stats"]) == 0
+        capsys.readouterr()
+        assert built == []
+
+    def test_each_call_matches_a_fresh_process(self, k13_file, tmp_path,
+                                                monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")   # the same help layout on both sides
+        c5 = TestTw().fixture_c5(tmp_path)
+        wrong_td = tmp_path / "wrong.td"
+        wrong_td.write_text("s td 1 2 2\nb 0 0 1\n")
+        sequence = [
+            ["gen", "gnp", "6", "0.5", "--kind", "WSRE", "--seed", "3", "--k", "2"],
+            ["gen", "cycle", "5"],                    # WDCE, k 0, default ops
+            ["tw", c5, "-r", "2", "--td", str(wrong_td)],
+            ["tw", c5, "-r", "2"],                    # greedy decomposition
+            ["solve", k13_file, "--bogus"],           # usage error
+            ["solve", k13_file],
+            ["solve", "--help"],
+            ["solve", k13_file],
+        ]
+        for argv in sequence:
+            code = run_cli(argv)
+            captured = capsys.readouterr()
+            fresh = fresh_cli(*argv)
+            assert (code, captured.out, captured.err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert [run_cli(argv) for argv in sequence] == [0, 0, 2, 0, 2, 0, 0, 0]
+        capsys.readouterr()
+
+
+def test_module_entry_point(tmp_path):
+    """``python3 -m dcedit.cli`` runs the CLI: exit codes reach the shell."""
+    assert fresh_cli("warp").returncode == 2
     inst, script = tmp_path / "c5.wsre", tmp_path / "c5.script"
-    gen = cli("gen", "cycle", "5", "--kind", "WSRE", "--k", "1")
+    gen = fresh_cli("gen", "cycle", "5", "--kind", "WSRE", "--k", "1")
     assert gen.returncode == 0
     inst.write_text(gen.stdout)
-    solved = cli("solve", str(inst))
+    solved = fresh_cli("solve", str(inst))
     assert solved.returncode == 0
     script.write_text(solved.stdout)
-    verified = cli("verify", str(inst), str(script))
+    verified = fresh_cli("verify", str(inst), str(script))
     assert (verified.returncode, verified.stdout) == (0, "OK cost=0\n")
 
 

@@ -22,7 +22,7 @@ from dcedit.problems import (
     violations,
 )
 
-from conftest import exact_instance, star_graph, uniform_instance
+from conftest import exact_instance, uniform_instance
 
 
 class TestConstraintSet:

@@ -24,7 +24,6 @@ from dcedit.problems import (
     WERE,
     WSRE,
 )
-from dcedit.treewidth import TreeDecomposition
 
 from conftest import uniform_instance
 

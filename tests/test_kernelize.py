@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from dcedit.graphs import WeightedGraph, complete, cycle, random_graph
+from dcedit.graphs import WeightedGraph, complete, random_graph
 from dcedit.kernelize import (
     RULES_BY_NAME,
     find_clean_regions,

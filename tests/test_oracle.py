@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcedit.graphs import WeightedGraph, complete, cycle, random_graph
+from dcedit.graphs import WeightedGraph, complete, random_graph
 from dcedit.oracle import (
-    ORACLE_MAX_BUDGET,
     ORACLE_MAX_VERTICES,
+    _universe,
     brute_force_solve,
     enumerate_labeled_graphs,
     induced_regular_bruteforce,
@@ -22,7 +22,6 @@ from dcedit.problems import (
     WSRE,
     apply_edit_script,
     check_constraints,
-    script_cost,
 )
 
 from conftest import star_graph, uniform_instance
@@ -107,6 +106,20 @@ def test_weighted_costs_steer_the_witness():
     inst = uniform_instance(WDCE, g, r=0, k=1, ops={VDEL})
     res = brute_force_solve(inst)
     assert res.answer and res.witness.steps == (("vdel", 1),)
+
+
+def test_universe_shares_step_and_measure_tuples():
+    """A universe makes each step tuple once and stores equal measure
+    tuples once."""
+    g = random_graph(6, 0.5, seed=4)
+    universe = _universe(g, 2, True)
+    steps = [s for cand in universe for s in cand.steps]
+    assert len(steps) > len(set(steps)) > 0
+    assert len({id(s) for s in steps}) == len(set(steps))
+    for field in ("wdeg", "edeg", "pcom"):
+        values = [getattr(cand, field) for cand in universe]
+        assert len(values) > len(set(values))
+        assert len({id(v) for v in values}) == len(set(values)), field
 
 
 @settings(deadline=None, max_examples=60)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dcedit.graphs import WeightedGraph, complete, cycle, petersen, random_graph
+from dcedit.graphs import WeightedGraph, complete, cycle, random_graph
 from dcedit.oracle import (
     enumerate_labeled_graphs,
     induced_regular_bruteforce,
