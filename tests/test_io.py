@@ -234,3 +234,187 @@ class TestScriptFiles:
         script = EditScript.build(k13, (("vdel", 0), ("edel", 1, 3)))
         assert serialize_script(script) == "vdel 0\nedel 1 3\n"
         assert parse_script(serialize_script(script)) == script.steps
+
+
+# -- pinned diagnostics -----------------------------------------------------
+
+# One malformed file per `raise ParseError` site that parse_instance reaches
+# (its helpers included), with the exact message and line it reports.  The
+# layout rows put the fault on a line with whitespace inside braces, a
+# comment, tabs or CRLF ends.
+_WDCE_FILE = ("problem WDCE\nops vdel edel\nk 1\nr 2\n"
+              "vertex 0 delta={1}\nvertex 1 delta={1}\nedge 0 1\n")
+_WEDCE_FILE = ("problem WEDCE\nops vdel edel\nk 1\nr 2\n"
+               "vertex 0\nvertex 1\nedge 0 1 delta={2}\n")
+_WERE_FILE = ("problem WERE\nops vdel edel\nk 1\nr 2\nlambda 1\n"
+              "vertex 0 delta={1}\nvertex 1 delta={1}\nedge 0 1\nnu 0 1 {0}\n")
+_WSRE_FILE = ("problem WSRE\nops vdel edel\nk 1\nr 2\nlambda 1\nmu 1\n"
+              "vertex 0 delta={1}\nvertex 1 delta={1}\nvertex 2 delta={0}\n"
+              "edge 0 1\nxi 0 2 {0}\n")
+
+PINNED_DIAGNOSTICS = [
+    ("unknown_directive", _WDCE_FILE + "wobble 3\n",
+     8, "line 8: unknown directive 'wobble'"),
+    ("problem_unknown_kind", _WDCE_FILE.replace("problem WDCE", "problem WXYZ"),
+     1, 'line 1: problem must be one of WDCE|WEDCE|WERE|WSRE'),
+    ("problem_arity", _WDCE_FILE.replace("problem WDCE", "problem WDCE WERE"),
+     1, 'line 1: problem must be one of WDCE|WEDCE|WERE|WSRE'),
+    ("problem_duplicate", "problem WDCE\n" + _WDCE_FILE,
+     2, 'line 2: duplicate `problem` directive'),
+    ("ops_unknown", _WDCE_FILE.replace("ops vdel edel", "ops vdel fly"),
+     2, 'line 2: ops takes a non-empty subset of: vdel edel eadd'),
+    ("ops_empty", _WDCE_FILE.replace("ops vdel edel", "ops"),
+     2, 'line 2: ops takes a non-empty subset of: vdel edel eadd'),
+    ("k_arity", _WDCE_FILE.replace("k 1", "k 1 2"),
+     3, 'line 3: `k` takes one integer'),
+    ("k_not_integer", _WDCE_FILE.replace("k 1", "k nope"),
+     3, "line 3: expected integer, got 'nope'"),
+    ("r_negative", _WDCE_FILE.replace("r 2", "r -1"),
+     4, 'line 4: r must be non-negative'),
+    ("missing_problem", _WDCE_FILE.replace("problem WDCE\n", ""),
+     None, 'missing `problem` directive'),
+    ("missing_ops", _WDCE_FILE.replace("ops vdel edel\n", ""),
+     None, 'missing `ops` directive'),
+    ("missing_k", _WDCE_FILE.replace("k 1\n", ""),
+     None, 'missing `k` directive'),
+    ("missing_r", _WDCE_FILE.replace("r 2\n", ""),
+     None, 'missing `r` directive'),
+    ("vertex_no_id", _WDCE_FILE + "vertex\n",
+     8, 'line 8: vertex needs an id'),
+    ("vertex_id_not_integer", _WDCE_FILE + "vertex x delta={1}\n",
+     8, "line 8: expected vertex id, got 'x'"),
+    ("vertex_duplicate", _WDCE_FILE + "vertex 1 delta={2}\n",
+     8, 'line 8: duplicate vertex 1'),
+    ("kv_unknown_key", _WDCE_FILE + "vertex 2 colour=red\n",
+     8, "line 8: expected weight=... or delta={...}, got 'colour=red'"),
+    ("kv_bare_token", _WDCE_FILE + "vertex 2 delta\n",
+     8, "line 8: expected weight=... or delta={...}, got 'delta'"),
+    ("kv_duplicate_weight", _WDCE_FILE + "vertex 2 weight=1 weight=2 delta={0}\n",
+     8, 'line 8: duplicate weight='),
+    ("kv_duplicate_delta", _WDCE_FILE + "vertex 2 delta={0} delta={1}\n",
+     8, 'line 8: duplicate delta='),
+    ("weight_not_integer", _WDCE_FILE + "vertex 2 weight=heavy delta={0}\n",
+     8, "line 8: expected weight, got 'heavy'"),
+    ("set_not_braced", _WDCE_FILE + "vertex 2 delta=0\n",
+     8, "line 8: expected a {...} set, got '0'"),
+    ("set_element_not_integer", _WDCE_FILE + "vertex 2 delta={0,a}\n",
+     8, "line 8: expected set element, got 'a'"),
+    ("set_range_bound_not_integer", _WDCE_FILE + "vertex 2 delta={0..x}\n",
+     8, "line 8: expected range bound, got 'x'"),
+    ("set_descending_range", _WDCE_FILE + "vertex 2 delta={2..0}\n",
+     8, "line 8: descending range '2..0'"),
+    ("set_empty_element", _WDCE_FILE + "vertex 2 delta={0,,1}\n",
+     8, 'line 8: empty element in set'),
+    ("set_empty", _WDCE_FILE + "vertex 2 delta={}\n",
+     8, 'line 8: empty set'),
+    ("edge_arity", _WDCE_FILE + "edge 0\n",
+     8, 'line 8: edge needs two endpoint ids'),
+    ("edge_id_not_integer", _WDCE_FILE + "edge 0 y\n",
+     8, "line 8: expected vertex id, got 'y'"),
+    ("edge_self_loop", _WDCE_FILE + "edge 1 1\n",
+     8, 'line 8: self-loop at 1'),
+    ("edge_duplicate", _WDCE_FILE + "edge 1 0\n",
+     8, 'line 8: duplicate edge 1 0'),
+    ("edge_kv_unknown_key", _WDCE_FILE.replace("edge 0 1", "edge 0 1 colour=red"),
+     7, "line 7: expected weight=... or delta={...}, got 'colour=red'"),
+    ("nu_arity", _WERE_FILE + "nu 0 1\n",
+     10, 'line 10: `nu` takes: <u> <v> {...}'),
+    ("nu_same_vertex", _WERE_FILE + "nu 1 1 {0}\n",
+     10, 'line 10: `nu` needs two distinct vertices'),
+    ("nu_duplicate", _WERE_FILE + "nu 1 0 {1}\n",
+     10, 'line 10: duplicate `nu` entry for 1 0'),
+    ("nu_set_not_braced", _WERE_FILE.replace("nu 0 1 {0}", "nu 0 1 0"),
+     9, "line 9: expected a {...} set, got '0'"),
+    ("xi_id_not_integer", _WSRE_FILE + "xi 1 z {0}\n",
+     12, "line 12: expected vertex id, got 'z'"),
+    ("default_arity", _WERE_FILE + "default nu\n",
+     10, 'line 10: default takes: nu|xi {...}'),
+    ("default_unknown_name", _WERE_FILE + "default zeta {0}\n",
+     10, 'line 10: default takes: nu|xi {...}'),
+    ("default_duplicate", _WERE_FILE + "default nu {0}\ndefault nu {1}\n",
+     11, 'line 11: duplicate `default nu`'),
+    ("default_set_empty", _WERE_FILE + "default nu {}\n",
+     10, 'line 10: empty set'),
+    ("lambda_not_applicable", _WDCE_FILE + "lambda 1\n",
+     8, 'line 8: `lambda` does not apply to WDCE'),
+    ("mu_not_applicable", _WERE_FILE + "mu 1\n",
+     10, 'line 10: `mu` does not apply to WERE'),
+    ("lambda_out_of_range", _WERE_FILE.replace("lambda 1", "lambda 3"),
+     5, 'line 5: lambda=3 out of range [0..2]'),
+    ("mu_out_of_range", _WSRE_FILE.replace("mu 1", "mu -1"),
+     6, 'line 6: mu=-1 out of range [0..2]'),
+    ("nu_not_applicable", _WDCE_FILE + "nu 0 1 {0}\n",
+     8, 'line 8: `nu` does not apply to WDCE'),
+    ("xi_not_applicable", _WERE_FILE + "xi 0 1 {0}\n",
+     10, 'line 10: `xi` does not apply to WERE'),
+    ("nu_undeclared_vertex", _WERE_FILE + "nu 0 7 {0}\n",
+     10, 'line 10: `nu` references an undeclared vertex'),
+    ("xi_undeclared_vertex", _WSRE_FILE + "xi 5 0 {0}\n",
+     12, 'line 12: `xi` references an undeclared vertex'),
+    ("default_nu_not_applicable", _WDCE_FILE + "default nu {0}\n",
+     8, 'line 8: `default nu` does not apply to WDCE'),
+    ("default_xi_not_applicable", _WERE_FILE + "default xi {0}\n",
+     10, 'line 10: `default xi` does not apply to WERE'),
+    ("vertex_weight_zero", _WDCE_FILE + "vertex 2 weight=0 delta={0}\n",
+     8, 'line 8: vertex weight must be >= 1, got 0'),
+    ("vertex_missing_delta", _WDCE_FILE + "vertex 2 weight=3\n",
+     8, 'line 8: WDCE requires delta={...} on vertex 2'),
+    ("vertex_delta_not_applicable", _WEDCE_FILE.replace("vertex 1", "vertex 1 delta={1}"),
+     6, 'line 6: vertex delta does not apply to WEDCE'),
+    ("vertex_delta_out_of_bound", _WDCE_FILE + "vertex 2 delta={0,5}\n",
+     8, 'line 8: delta values [0, 5] outside [0..2]'),
+    ("vertex_delta_negative", _WDCE_FILE + "vertex 2 delta={-1}\n",
+     8, 'line 8: delta values [-1] outside [0..2]'),
+    ("edge_undeclared_vertex", _WDCE_FILE + "edge 0 9\n",
+     8, 'line 8: edge references an undeclared vertex'),
+    ("edge_weight_zero", _WDCE_FILE.replace("edge 0 1", "edge 0 1 weight=0"),
+     7, 'line 7: edge weight must be >= 1, got 0'),
+    ("edge_missing_delta", _WEDCE_FILE.replace(" delta={2}", ""),
+     7, 'line 7: WEDCE requires delta={...} on edge 0 1'),
+    ("edge_delta_not_applicable", _WDCE_FILE.replace("edge 0 1", "edge 0 1 delta={1}"),
+     7, 'line 7: edge delta does not apply to WDCE'),
+    ("edge_delta_out_of_bound", _WEDCE_FILE.replace("delta={2}", "delta={3}"),
+     7, 'line 7: delta values [3] outside [0..2]'),
+    ("nu_out_of_bound", _WERE_FILE.replace("nu 0 1 {0}", "nu 0 1 {0,2}"),
+     9, 'line 9: nu values [0, 2] outside [0..1]'),
+    ("xi_out_of_bound", _WSRE_FILE.replace("xi 0 2 {0}", "xi 0 2 {2}"),
+     11, 'line 11: xi values [2] outside [0..1]'),
+    ("default_nu_out_of_bound", _WERE_FILE + "default nu {4}\n",
+     10, 'line 10: default nu values [4] outside [0..1]'),
+    ("default_xi_out_of_bound", _WSRE_FILE + "default xi {0,1,2}\n",
+     12, 'line 12: default xi values [0, 1, 2] outside [0..1]'),
+    ("instance_level", _WEDCE_FILE.replace("ops vdel edel", "ops vdel eadd"),
+     None, 'edge addition is ill-defined for WEDCE'),
+    # checks after the line pass run in vertex-id order, not file order
+    ("first_error_by_vertex_id",
+     _WDCE_FILE + "vertex 9 weight=0 delta={0}\nvertex 3 delta={7}\n",
+     9, 'line 9: delta values [7] outside [0..2]'),
+    # layout: inner whitespace, comments after sets, tabs, CRLF
+    ("inner_spaces_out_of_bound", _WDCE_FILE + "vertex 2 delta={ 0 , 5 }\n",
+     8, 'line 8: delta values [0, 5] outside [0..2]'),
+    ("inner_spaces_descending", _WDCE_FILE + "vertex 2 delta={ 2 .. 0 }\n",
+     8, "line 8: descending range '2..0'"),
+    ("inner_spaces_empty_element", _WDCE_FILE + "vertex 2 delta={ 0 , , 1 }\n",
+     8, 'line 8: empty element in set'),
+    ("comment_after_set", _WDCE_FILE + "vertex 2 delta={4} # four\n",
+     8, 'line 8: delta values [4] outside [0..2]'),
+    ("comment_holds_the_set", _WDCE_FILE + "vertex 2 # delta={0}\n",
+     8, 'line 8: WDCE requires delta={...} on vertex 2'),
+    ("comment_inside_braces", _WDCE_FILE + "vertex 2 delta={0 # 1}\n",
+     8, "line 8: expected a {...} set, got '{0'"),
+    ("tabs", _WDCE_FILE + "vertex\t2\tdelta={0,\t7}\n",
+     8, 'line 8: delta values [0, 7] outside [0..2]'),
+    ("crlf", (_WERE_FILE + "nu 1 0 {1}\n").replace("\n", "\r\n"),
+     10, 'line 10: duplicate `nu` entry for 1 0'),
+    ("crlf_missing_directive", _WDCE_FILE.replace("k 1\n", "").replace("\n", "\r\n"),
+     None, 'missing `k` directive'),
+]
+
+
+@pytest.mark.parametrize("text,line,message",
+                         [row[1:] for row in PINNED_DIAGNOSTICS],
+                         ids=[row[0] for row in PINNED_DIAGNOSTICS])
+def test_pinned_diagnostics(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_instance(text)
+    assert (exc.value.line, str(exc.value)) == (line, message)
