@@ -23,26 +23,24 @@ class WeightedGraph:
 
     def __init__(self, vertex_weights: Dict, edge_weights: Dict):
         vw = dict(vertex_weights)
-        ew = {}
-        for e, w in edge_weights.items():
-            u, v = e
-            if u == v:
-                raise ValueError(f"self-loop at {u!r}")
-            ke = edge_key(u, v)
-            if ke in ew:
-                raise ValueError(f"parallel edge {ke!r}")
-            ew[ke] = w
+        adj = {}
         for v, w in vw.items():
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"vertex {v!r} has non-positive weight {w!r}")
-        for e, w in ew.items():
+            adj[v] = set()
+        ew = {}
+        for (u, v), w in edge_weights.items():
+            if u == v:
+                raise ValueError(f"self-loop at {u!r}")
+            ke = (u, v) if u <= v else (v, u)
+            if ke in ew:
+                raise ValueError(f"parallel edge {ke!r}")
             if not isinstance(w, int) or w < 1:
-                raise ValueError(f"edge {e!r} has non-positive weight {w!r}")
-            for end in e:
-                if end not in vw:
-                    raise ValueError(f"edge {e!r} references missing vertex {end!r}")
-        adj = {v: set() for v in vw}
-        for (u, v) in ew:
+                raise ValueError(f"edge {ke!r} has non-positive weight {w!r}")
+            if u not in adj or v not in adj:
+                end = ke[0] if ke[0] not in adj else ke[1]
+                raise ValueError(f"edge {ke!r} references missing vertex {end!r}")
+            ew[ke] = w
             adj[u].add(v)
             adj[v].add(u)
         self._vw = vw

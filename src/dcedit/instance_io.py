@@ -5,12 +5,24 @@ whitespace-separated, and ``{...}`` sets hold comma-separated integers or
 ``a..b`` ranges.  Serialization is canonical — fixed directive order,
 sorted ids, plain comma sets — so equal instances produce identical bytes
 and every serialized instance parses back to an equal instance.
+
+``parse_instance`` reads the lines once, checking each on its own, then
+checks what they declare against each other, in a fixed order, so the
+first fault reported does not depend on how the file is laid out.  Text
+with no comment and no whitespace inside braces, which is all text the
+serializers write, is split with ``str.split`` alone; the regex that
+closes up spaced sets runs only on lines that need it.  A file repeats a
+few set tokens and ``weight=``/``delta=`` tails many times, so each
+distinct one is parsed once per file, and each distinct list is
+range-checked once per bound.  An ``a..b`` range is expanded only after
+both ends are checked against its bound (r, lambda or mu), so a range far
+past the bound is refused without being built.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .graphs import WeightedGraph, edge_key
 from .problems import (
@@ -36,12 +48,29 @@ class ParseError(ValueError):
 
 
 _SET_RE = re.compile(r"\{[^{}]*\}")
+_SPACED_SET_RE = re.compile(r"\{[^{}]*\s[^{}]*\}")
+
+
+def _squeeze(m: re.Match) -> str:
+    return "".join(m.group(0).split())
 
 
 def _tokenize(raw: str) -> List[str]:
-    body = raw.split("#", 1)[0]
-    body = _SET_RE.sub(lambda m: re.sub(r"\s+", "", m.group(0)), body)
-    return body.split()
+    """The tokens of one line, without its comment; a ``{...}`` set with
+    whitespace inside stays one token."""
+    if "#" in raw or "{" in raw and _SPACED_SET_RE.search(raw):
+        raw = _SET_RE.sub(_squeeze, raw.split("#", 1)[0])
+    return raw.split()
+
+
+def _token_lines(text: str) -> Iterator[List[str]]:
+    """``_tokenize`` of each line of ``text``.  A text with no comment and
+    no spaced set anywhere, which is every text ``serialize_*`` writes, needs
+    only ``str.split`` on each line."""
+    lines = text.splitlines()
+    if "#" in text or "{" in text and _SPACED_SET_RE.search(text):
+        return map(_tokenize, lines)
+    return map(str.split, lines)
 
 
 def _int(tok: str, ln: int, what: str = "integer") -> int:
@@ -51,10 +80,13 @@ def _int(tok: str, ln: int, what: str = "integer") -> int:
         raise ParseError(ln, f"expected {what}, got {tok!r}") from None
 
 
-def _parse_set(tok: str, ln: int) -> frozenset:
+def _parse_set(tok: str, ln: int) -> Tuple[frozenset, Tuple[Tuple[int, int], ...]]:
+    """The syntax of one ``{...}`` token: its single elements and its
+    ``a..b`` ranges.  A range is expanded only by ``_bounded_set``, after
+    its ends are checked against the bound that applies."""
     if not (tok.startswith("{") and tok.endswith("}")):
         raise ParseError(ln, f"expected a {{...}} set, got {tok!r}")
-    vals = set()
+    singles, ranges = set(), []
     inner = tok[1:-1]
     for part in inner.split(",") if inner else ():
         if ".." in part:
@@ -62,17 +94,30 @@ def _parse_set(tok: str, ln: int) -> frozenset:
             lo, hi = _int(lo_s, ln, "range bound"), _int(hi_s, ln, "range bound")
             if hi < lo:
                 raise ParseError(ln, f"descending range {part!r}")
-            vals.update(range(lo, hi + 1))
+            ranges.append((lo, hi))
         elif part:
-            vals.add(_int(part, ln, "set element"))
+            singles.add(_int(part, ln, "set element"))
         else:
             raise ParseError(ln, "empty element in set")
-    if not vals:
+    if not singles and not ranges:
         raise ParseError(ln, "empty set")
-    return frozenset(vals)
+    return frozenset(singles), tuple(ranges)
 
 
-def _parse_kv(tokens: List[str], ln: int) -> Tuple[Optional[int], Optional[frozenset]]:
+def _bounded_set(spec, hi: int, ln: int, what: str) -> frozenset:
+    singles, ranges = spec
+    for lo, top in ranges:
+        if lo < 0 or top > hi:
+            raise ParseError(ln, f"{what} range {lo}..{top} outside [0..{hi}]")
+    vals = singles.union(*(range(lo, top + 1) for lo, top in ranges))
+    if any(x < 0 or x > hi for x in vals):
+        raise ParseError(ln, f"{what} values {sorted(vals)} outside [0..{hi}]")
+    return vals
+
+
+def _parse_kv(tokens, ln: int, sets: Dict[str, tuple]) -> Tuple[int, Optional[str]]:
+    """``(weight, delta set token)`` of a vertex or edge line's tail; the
+    set's syntax lands in ``sets``."""
     weight, delta = None, None
     for tok in tokens:
         key, eq, val = tok.partition("=")
@@ -85,76 +130,99 @@ def _parse_kv(tokens: List[str], ln: int) -> Tuple[Optional[int], Optional[froze
         else:
             if delta is not None:
                 raise ParseError(ln, "duplicate delta=")
-            delta = _parse_set(val, ln)
-    return weight, delta
+            if val not in sets:
+                sets[val] = _parse_set(val, ln)
+            delta = val
+    return 1 if weight is None else weight, delta
 
 
 def parse_instance(text: str) -> ProblemInstance:
     directives: Dict[str, Tuple[int, object]] = {}
-    verts: Dict[int, Tuple[int, int, Optional[frozenset]]] = {}
-    edges: Dict[Tuple[int, int], Tuple[int, int, Optional[frozenset]]] = {}
-    nu_pairs: Dict[Tuple[int, int], Tuple[int, frozenset]] = {}
-    xi_pairs: Dict[Tuple[int, int], Tuple[int, frozenset]] = {}
-    defaults: Dict[str, Tuple[int, frozenset]] = {}
+    verts: Dict[int, Tuple[int, Tuple[int, Optional[str]]]] = {}
+    edges: Dict[Tuple[int, int], Tuple[int, Tuple[int, Optional[str]]]] = {}
+    nu_pairs: Dict[Tuple[int, int], Tuple[int, str]] = {}
+    xi_pairs: Dict[Tuple[int, int], Tuple[int, str]] = {}
+    defaults: Dict[str, Tuple[int, str]] = {}
+    # A file repeats a few set tokens and weight=/delta= tails many times:
+    # each distinct one is parsed once, and checked once per bound.
+    sets: Dict[str, tuple] = {}
+    tails: Dict[tuple, Tuple[int, Optional[str]]] = {}
 
     def set_directive(name: str, value, ln: int):
         if name in directives:
             raise ParseError(ln, f"duplicate `{name}` directive")
         directives[name] = (ln, value)
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw)
+    def parse_set(tok: str, ln: int) -> str:
+        if tok not in sets:
+            sets[tok] = _parse_set(tok, ln)
+        return tok
+
+    for ln, toks in enumerate(_token_lines(text), start=1):
         if not toks:
             continue
-        head, rest = toks[0], toks[1:]
-        if head == "problem":
-            if len(rest) != 1 or rest[0] not in KINDS:
+        head = toks[0]
+        if head == "edge":
+            if len(toks) < 3:
+                raise ParseError(ln, "edge needs two endpoint ids")
+            try:
+                u, v = int(toks[1]), int(toks[2])
+            except ValueError:
+                u, v = _int(toks[1], ln, "vertex id"), _int(toks[2], ln, "vertex id")
+            if u == v:
+                raise ParseError(ln, f"self-loop at {u}")
+            e = (u, v) if u < v else (v, u)
+            if e in edges:
+                raise ParseError(ln, f"duplicate edge {u} {v}")
+            tail = tuple(toks[3:])
+            kv = tails.get(tail)
+            if kv is None:
+                kv = tails[tail] = _parse_kv(tail, ln, sets)
+            edges[e] = (ln, kv)
+        elif head == "vertex":
+            if len(toks) < 2:
+                raise ParseError(ln, "vertex needs an id")
+            v = _int(toks[1], ln, "vertex id")
+            if v in verts:
+                raise ParseError(ln, f"duplicate vertex {v}")
+            tail = tuple(toks[2:])
+            kv = tails.get(tail)
+            if kv is None:
+                kv = tails[tail] = _parse_kv(tail, ln, sets)
+            verts[v] = (ln, kv)
+        elif head in ("nu", "xi"):
+            if len(toks) != 4:
+                raise ParseError(ln, f"`{head}` takes: <u> <v> {{...}}")
+            try:
+                u, v = int(toks[1]), int(toks[2])
+            except ValueError:
+                u, v = _int(toks[1], ln, "vertex id"), _int(toks[2], ln, "vertex id")
+            if u == v:
+                raise ParseError(ln, f"`{head}` needs two distinct vertices")
+            store = nu_pairs if head == "nu" else xi_pairs
+            e = (u, v) if u < v else (v, u)
+            if e in store:
+                raise ParseError(ln, f"duplicate `{head}` entry for {u} {v}")
+            store[e] = (ln, parse_set(toks[3], ln))
+        elif head == "problem":
+            if len(toks) != 2 or toks[1] not in KINDS:
                 raise ParseError(ln, f"problem must be one of {'|'.join(KINDS)}")
-            set_directive("problem", rest[0], ln)
+            set_directive("problem", toks[1], ln)
         elif head == "ops":
+            rest = toks[1:]
             if not rest or any(op not in (VDEL, EDEL, EADD) for op in rest):
                 raise ParseError(ln, "ops takes a non-empty subset of: vdel edel eadd")
             set_directive("ops", frozenset(rest), ln)
         elif head in ("k", "r", "lambda", "mu"):
-            if len(rest) != 1:
+            if len(toks) != 2:
                 raise ParseError(ln, f"`{head}` takes one integer")
-            set_directive(head, _int(rest[0], ln), ln)
-        elif head == "vertex":
-            if not rest:
-                raise ParseError(ln, "vertex needs an id")
-            v = _int(rest[0], ln, "vertex id")
-            if v in verts:
-                raise ParseError(ln, f"duplicate vertex {v}")
-            weight, delta = _parse_kv(rest[1:], ln)
-            verts[v] = (ln, 1 if weight is None else weight, delta)
-        elif head == "edge":
-            if len(rest) < 2:
-                raise ParseError(ln, "edge needs two endpoint ids")
-            u, v = _int(rest[0], ln, "vertex id"), _int(rest[1], ln, "vertex id")
-            if u == v:
-                raise ParseError(ln, f"self-loop at {u}")
-            e = edge_key(u, v)
-            if e in edges:
-                raise ParseError(ln, f"duplicate edge {u} {v}")
-            weight, delta = _parse_kv(rest[2:], ln)
-            edges[e] = (ln, 1 if weight is None else weight, delta)
-        elif head in ("nu", "xi"):
-            if len(rest) != 3:
-                raise ParseError(ln, f"`{head}` takes: <u> <v> {{...}}")
-            u, v = _int(rest[0], ln, "vertex id"), _int(rest[1], ln, "vertex id")
-            if u == v:
-                raise ParseError(ln, f"`{head}` needs two distinct vertices")
-            store = nu_pairs if head == "nu" else xi_pairs
-            e = edge_key(u, v)
-            if e in store:
-                raise ParseError(ln, f"duplicate `{head}` entry for {u} {v}")
-            store[e] = (ln, _parse_set(rest[2], ln))
+            set_directive(head, _int(toks[1], ln), ln)
         elif head == "default":
-            if len(rest) != 2 or rest[0] not in ("nu", "xi"):
+            if len(toks) != 3 or toks[1] not in ("nu", "xi"):
                 raise ParseError(ln, "default takes: nu|xi {...}")
-            if rest[0] in defaults:
-                raise ParseError(ln, f"duplicate `default {rest[0]}`")
-            defaults[rest[0]] = (ln, _parse_set(rest[1], ln))
+            if toks[1] in defaults:
+                raise ParseError(ln, f"duplicate `default {toks[1]}`")
+            defaults[toks[1]] = (ln, parse_set(toks[2], ln))
         else:
             raise ParseError(ln, f"unknown directive {head!r}")
 
@@ -184,9 +252,9 @@ def parse_instance(text: str) -> ProblemInstance:
     if mu is not None and not 0 <= mu <= r:
         raise ParseError(directives.get("mu", (None,))[0],
                          f"mu={mu} out of range [0..{r}]")
-    for name, used in (("nu", uses_nu), ("xi", uses_xi)):
-        store = nu_pairs if name == "nu" else xi_pairs
-        for (u, v), (ln, _) in sorted(store.items()):
+    nu_items, xi_items = sorted(nu_pairs.items()), sorted(xi_pairs.items())
+    for name, used, items in (("nu", uses_nu, nu_items), ("xi", uses_xi, xi_items)):
+        for (u, v), (ln, _) in items:
             if not used:
                 raise ParseError(ln, f"`{name}` does not apply to {kind}")
             if u not in verts or v not in verts:
@@ -194,52 +262,51 @@ def parse_instance(text: str) -> ProblemInstance:
         if name in defaults and not used:
             raise ParseError(defaults[name][0], f"`default {name}` does not apply to {kind}")
 
-    def check_vals(vals: frozenset, hi: int, ln: int, what: str):
-        if any(x < 0 or x > hi for x in vals):
-            raise ParseError(ln, f"{what} values {sorted(vals)} outside [0..{hi}]")
+    checked: Dict[Tuple[str, int], frozenset] = {}
+
+    def values(tok: str, hi: int, ln: int, what: str) -> frozenset:
+        vals = checked.get((tok, hi))
+        if vals is None:
+            vals = checked[tok, hi] = _bounded_set(sets[tok], hi, ln, what)
+        return vals
 
     dv, de = {}, {}
-    for v, (ln, w, delta) in sorted(verts.items()):
+    for v, (ln, (w, delta)) in sorted(verts.items()):
         if w < 1:
             raise ParseError(ln, f"vertex weight must be >= 1, got {w}")
-        if delta is None and uses_vdelta:
-            raise ParseError(ln, f"{kind} requires delta={{...}} on vertex {v}")
-        if delta is not None:
-            if not uses_vdelta:
-                raise ParseError(ln, f"vertex delta does not apply to {kind}")
-            check_vals(delta, r, ln, "delta")
-            dv[v] = delta
-    for (u, v), (ln, w, delta) in sorted(edges.items()):
+        if delta is None:
+            if uses_vdelta:
+                raise ParseError(ln, f"{kind} requires delta={{...}} on vertex {v}")
+        elif not uses_vdelta:
+            raise ParseError(ln, f"vertex delta does not apply to {kind}")
+        else:
+            dv[v] = values(delta, r, ln, "delta")
+    for (u, v), (ln, (w, delta)) in sorted(edges.items()):
         if u not in verts or v not in verts:
             raise ParseError(ln, "edge references an undeclared vertex")
         if w < 1:
             raise ParseError(ln, f"edge weight must be >= 1, got {w}")
-        if delta is None and uses_edelta:
-            raise ParseError(ln, f"{kind} requires delta={{...}} on edge {u} {v}")
-        if delta is not None:
-            if not uses_edelta:
-                raise ParseError(ln, f"edge delta does not apply to {kind}")
-            check_vals(delta, r, ln, "delta")
-            de[(u, v)] = delta
-    nu = {}
-    for (u, v), (ln, vals) in sorted(nu_pairs.items()):
-        check_vals(vals, lam, ln, "nu")
-        nu[(u, v)] = vals
-    xi = {}
-    for (u, v), (ln, vals) in sorted(xi_pairs.items()):
-        check_vals(vals, mu, ln, "xi")
-        xi[(u, v)] = vals
+        if delta is None:
+            if uses_edelta:
+                raise ParseError(ln, f"{kind} requires delta={{...}} on edge {u} {v}")
+        elif not uses_edelta:
+            raise ParseError(ln, f"edge delta does not apply to {kind}")
+        else:
+            de[(u, v)] = values(delta, r, ln, "delta")
+    nu = {e: values(tok, lam, ln, "nu") for e, (ln, tok) in nu_items}
+    xi = {e: values(tok, mu, ln, "xi") for e, (ln, tok) in xi_items}
+    nu_default = xi_default = None
     if "nu" in defaults:
-        check_vals(defaults["nu"][1], lam, defaults["nu"][0], "default nu")
+        ln, tok = defaults["nu"]
+        nu_default = values(tok, lam, ln, "default nu")
     if "xi" in defaults:
-        check_vals(defaults["xi"][1], mu, defaults["xi"][0], "default xi")
+        ln, tok = defaults["xi"]
+        xi_default = values(tok, mu, ln, "default xi")
     try:
-        graph = WeightedGraph({v: w for v, (_, w, _) in verts.items()},
-                              {e: w for e, (_, w, _) in edges.items()})
+        graph = WeightedGraph({v: w for v, (_, (w, _)) in verts.items()},
+                              {e: w for e, (_, (w, _)) in edges.items()})
         cs = ConstraintSet(r=r, lam=lam, mu=mu, delta_v=dv, delta_e=de,
-                           nu=nu, xi=xi,
-                           nu_default=defaults.get("nu", (None, None))[1],
-                           xi_default=defaults.get("xi", (None, None))[1])
+                           nu=nu, xi=xi, nu_default=nu_default, xi_default=xi_default)
         return ProblemInstance(kind=kind, graph=graph, constraints=cs, ops=ops, k=k)
     except ValueError as exc:
         raise ParseError(None, str(exc)) from None
@@ -301,8 +368,7 @@ def parse_decomposition(text: str) -> TreeDecomposition:
     bags: Dict[int, frozenset] = {}
     tree: List[Tuple[int, int]] = []
     edge_lines: List[int] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw)
+    for ln, toks in enumerate(_token_lines(text), start=1):
         if not toks or toks[0] == "c":
             continue
         if toks[0] == "s":
@@ -363,8 +429,7 @@ def parse_script(text: str) -> Tuple[tuple, ...]:
     skipped so `solve` output can be fed straight back in."""
     steps: List[tuple] = []
     first_content = True
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw)
+    for ln, toks in enumerate(_token_lines(text), start=1):
         if not toks:
             continue
         if first_content and toks[0] in ("YES", "NO"):

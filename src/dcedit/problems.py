@@ -41,12 +41,10 @@ VERTEX_DELTA_KINDS = (WDCE, WERE, WSRE)
 
 
 def _norm_sets(mapping, pair=False):
-    out = {}
-    for key, vals in mapping.items():
-        if pair:
-            key = edge_key(*key)
-        out[key] = frozenset(vals)
-    return out
+    if pair:
+        return {((u, v) if u <= v else (v, u)): frozenset(vals)
+                for (u, v), vals in mapping.items()}
+    return {key: frozenset(vals) for key, vals in mapping.items()}
 
 
 class ConstraintSet:
@@ -80,13 +78,17 @@ class ConstraintSet:
         self.xi = _norm_sets(xi or {}, pair=True)
         for name, m, hi in (("delta", self.delta_v, r), ("delta", self.delta_e, r),
                             ("nu", self.nu, lam), ("xi", self.xi, mu)):
+            valid = set()  # a few distinct lists are shared by many keys
             for key, vals in m.items():
+                if vals in valid:
+                    continue
                 if not vals:
                     raise ValueError(f"{name}[{key!r}] is empty")
                 if hi is None:
                     raise ValueError(f"{name}[{key!r}] given without its bound")
                 if any(x < 0 or x > hi for x in vals):
                     raise ValueError(f"{name}[{key!r}]={sorted(vals)} outside [0..{hi}]")
+                valid.add(vals)
         if nu_default is not None:
             self.nu_default = frozenset(nu_default)
             if lam is None or not self.nu_default or \

@@ -7,6 +7,7 @@ in tmp_path.
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,11 @@ import pytest
 
 import dcedit
 from dcedit.cli import run_cli
-from dcedit.instance_io import parse_instance
+from dcedit.instance_io import ParseError, parse_instance, serialize_instance
 from dcedit.oracle import brute_force_solve
+from dcedit.problems import KINDS
+
+from conftest import weighted_instance
 
 K13 = """\
 problem WEDCE
@@ -224,6 +228,57 @@ class TestExitCodes:
     def test_no_arguments(self, capsys):
         assert run_cli([]) == 2
         capsys.readouterr()
+
+
+# Tokens each directive cannot lose: dropping one always breaks the line.
+_REQUIRED_TOKENS = {"problem": 2, "ops": 1, "k": 2, "r": 2, "lambda": 2, "mu": 2,
+                    "default": 3, "vertex": 2, "edge": 3, "nu": 4, "xi": 4}
+
+
+def _mutants(text, rng, per_kind):
+    """Malformed variants of a valid instance file: a required token
+    dropped, a line duplicated, a digit turned into a letter, a brace
+    removed."""
+    lines = text.splitlines()
+    for _ in range(per_kind):
+        i = rng.randrange(len(lines))
+        toks = lines[i].split()
+        j = rng.randrange(_REQUIRED_TOKENS[toks[0]])
+        yield "\n".join(lines[:i] + [" ".join(toks[:j] + toks[j + 1:])] + lines[i + 1:])
+        yield "\n".join(lines[:i + 1] + lines[i:])
+        pos = rng.choice([p for p, c in enumerate(text) if c.isdigit()])
+        yield text[:pos] + "x" + text[pos + 1:]
+        braces = [p for p, c in enumerate(text) if c in "{}"]
+        if braces:
+            pos = rng.choice(braces)
+            yield text[:pos] + text[pos + 1:]
+
+
+def test_malformed_files_exit_2_with_one_line(tmp_path, capsys):
+    rng = random.Random(20240601)
+    path = tmp_path / "bad.txt"
+    count = 0
+    for kind in KINDS:
+        for seed in range(3):
+            text = serialize_instance(weighted_instance(kind, seed))
+            for bad in _mutants(text, rng, per_kind=3):
+                with pytest.raises(ParseError):
+                    parse_instance(bad)
+                path.write_text(bad)
+                assert run_cli(["solve", str(path)]) == 2, bad
+                out, err = capsys.readouterr()
+                assert out == "" and "Traceback" not in err
+                assert err.startswith("error: line ") and err.count("\n") == 1, err
+                count += 1
+    assert count == 144
+
+
+def test_out_of_bound_range_is_refused_before_it_is_built(tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    path.write_text("problem WDCE\nops vdel\nk 0\nr 3\nvertex 0 delta={0..1000000000}\n")
+    assert run_cli(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 5: delta range 0..1000000000 outside [0..3]\n"
 
 
 def fresh_cli(*argv):

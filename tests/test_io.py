@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from dcedit.instance_io import (
     serialize_script,
 )
 from dcedit.problems import (
+    KINDS,
     ConstraintSet,
     EditScript,
     ProblemInstance,
@@ -25,7 +27,7 @@ from dcedit.problems import (
     WSRE,
 )
 
-from conftest import uniform_instance
+from conftest import uniform_instance, weighted_instance
 
 MINIMAL = """\
 problem WEDCE
@@ -129,6 +131,23 @@ class TestParseInstance:
         with pytest.raises(ParseError, match="ill-defined"):
             parse_instance(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ("problem WDCE\nops vdel\nk 0\nr 1\nvertex 0 delta={0..1000000000}\n",
+         "line 5: delta range 0..1000000000 outside [0..1]"),
+        ("problem WDCE\nops vdel\nk 0\nr 1\nvertex 0 delta={0,-3..1}\n",
+         "line 5: delta range -3..1 outside [0..1]"),
+        ("problem WERE\nops vdel\nk 0\nr 2\nlambda 1\nvertex 0 delta={0}\n"
+         "vertex 1 delta={0}\nnu 0 1 {0..9999999999}\n",
+         "line 8: nu range 0..9999999999 outside [0..1]"),
+        # a range inside the bound keeps the message that lists the values
+        ("problem WDCE\nops vdel\nk 0\nr 1\nvertex 0 delta={0..1,5}\n",
+         "line 5: delta values [0, 1, 5] outside [0..1]"),
+    ])
+    def test_range_checked_against_its_bound_before_it_is_built(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == message
+
 
 class TestSerializeInstance:
     def test_canonical_golden(self):
@@ -169,6 +188,51 @@ class TestSerializeInstance:
         again = parse_instance(serialize_instance(inst))
         assert again == inst
         assert serialize_instance(again) == serialize_instance(inst)
+
+
+_SET = re.compile(r"\{([^{}]*)\}")
+
+
+def _as_ranges(text):
+    """Each run of consecutive values written as ``a..b``."""
+    def runs(m):
+        vals = sorted(int(x) for x in m.group(1).split(","))
+        parts, start = [], vals[0]
+        for prev, x in zip(vals, vals[1:] + [None]):
+            if x != prev + 1:
+                parts.append(str(start) if start == prev else f"{start}..{prev}")
+                start = x
+        return "{" + ",".join(parts) + "}"
+    return _SET.sub(runs, text)
+
+
+def _spaced(text):
+    return _SET.sub(lambda m: "{ " + m.group(1).replace(",", " , ")
+                    .replace("..", " .. ") + " }", text)
+
+
+def _commented(text):
+    lines = [f"{line}  # was {{{i}}}" for i, line in enumerate(text.splitlines())]
+    return "# seeded instance\n\n" + "\n".join(lines) + "\n"
+
+
+class TestTokenizerBranches:
+    """Serialized files take the plain ``str.split`` path; whitespace inside
+    braces and comments take the regex path.  Both give the same instance."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_round_trip_and_layouts(self, kind, seed):
+        inst = weighted_instance(kind, seed)
+        text = serialize_instance(inst)
+        again = parse_instance(text)
+        assert again == inst
+        assert serialize_instance(again) == text
+        ranged = _as_ranges(text)
+        assert ".." in ranged
+        for variant in (ranged, _spaced(text), _spaced(ranged), _commented(ranged),
+                        ranged.replace(" ", "\t").replace("\n", "\r\n")):
+            assert parse_instance(variant) == inst
 
 
 class TestDecompositionFiles:
