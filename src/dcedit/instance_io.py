@@ -115,7 +115,8 @@ def _bounded_set(spec, hi: int, ln: int, what: str) -> frozenset:
     return vals
 
 
-def _parse_kv(tokens, ln: int, sets: Dict[str, tuple]) -> Tuple[int, Optional[str]]:
+def _parse_kv(tokens: Tuple[str, ...], ln: int,
+              sets: Dict[str, tuple]) -> Tuple[int, Optional[str]]:
     """``(weight, delta set token)`` of a vertex or edge line's tail; the
     set's syntax lands in ``sets``."""
     weight, delta = None, None
@@ -143,10 +144,8 @@ def parse_instance(text: str) -> ProblemInstance:
     nu_pairs: Dict[Tuple[int, int], Tuple[int, str]] = {}
     xi_pairs: Dict[Tuple[int, int], Tuple[int, str]] = {}
     defaults: Dict[str, Tuple[int, str]] = {}
-    # A file repeats a few set tokens and weight=/delta= tails many times:
-    # each distinct one is parsed once, and checked once per bound.
-    sets: Dict[str, tuple] = {}
-    tails: Dict[tuple, Tuple[int, Optional[str]]] = {}
+    sets: Dict[str, tuple] = {}  # set token -> its _parse_set
+    tails: Dict[tuple, Tuple[int, Optional[str]]] = {}  # line tail -> its _parse_kv
 
     def set_directive(name: str, value, ln: int):
         if name in directives:
@@ -162,6 +161,8 @@ def parse_instance(text: str) -> ProblemInstance:
         if not toks:
             continue
         head = toks[0]
+        # Edge, vertex and pair lines are nearly all of a file, so their ids
+        # go through int() and the edge key is built inline.
         if head == "edge":
             if len(toks) < 3:
                 raise ParseError(ln, "edge needs two endpoint ids")
