@@ -362,6 +362,62 @@ class TestDriver:
         assert sorted(RULES_BY_NAME) == ["rr1", "rr2", "rr3", "rr4", "rr5",
                                          "rr6"]
 
+    # every valid (kind, nonempty ops) pair on a *-variant C5: whether each of
+    # rr1..rr6 runs (+) or raises ValueError (-), and kernelize's message
+    COVERAGE = (
+        (WDCE, "vdel", "------", "no reduction rules cover kind WDCE"),
+        (WDCE, "edel", "------", "no reduction rules cover kind WDCE"),
+        (WDCE, "eadd", "------", "no reduction rules cover kind WDCE"),
+        (WDCE, "vdel edel", "------", "no reduction rules cover kind WDCE"),
+        (WDCE, "vdel eadd", "------", "no reduction rules cover kind WDCE"),
+        (WDCE, "edel eadd", "------", "no reduction rules cover kind WDCE"),
+        (WDCE, "vdel edel eadd", "------", "no reduction rules cover kind WDCE"),
+        (WEDCE, "vdel", "+++---", None),
+        (WEDCE, "edel", "-+++--", None),
+        (WEDCE, "vdel edel", "+++---", None),
+        (WERE, "vdel", "++--+-", None),
+        (WERE, "edel", "-+----", "no WERE rules apply without vdel"),
+        (WERE, "eadd", "-+----", "reduction rules cover ops within {vdel, edel} only"),
+        (WERE, "vdel edel", "++--+-", None),
+        (WERE, "vdel eadd", "-+----", "reduction rules cover ops within {vdel, edel} only"),
+        (WERE, "edel eadd", "-+----", "reduction rules cover ops within {vdel, edel} only"),
+        (WERE, "vdel edel eadd", "-+----",
+         "reduction rules cover ops within {vdel, edel} only"),
+        (WSRE, "vdel", "++---+", None),
+        (WSRE, "edel", "-+----", "no WSRE rules apply without vdel"),
+        (WSRE, "eadd", "-+----", "reduction rules cover ops within {vdel, edel} only"),
+        (WSRE, "vdel edel", "++---+", None),
+        (WSRE, "vdel eadd", "-+----", "reduction rules cover ops within {vdel, edel} only"),
+        (WSRE, "edel eadd", "-+----", "reduction rules cover ops within {vdel, edel} only"),
+        (WSRE, "vdel edel eadd", "-+----",
+         "reduction rules cover ops within {vdel, edel} only"),
+    )
+
+    @pytest.mark.parametrize("kind, ops, runs, message", COVERAGE)
+    def test_coverage_table(self, c5, kind, ops, runs, message):
+        inst = uniform_instance(kind, c5, r=2, k=1, ops=ops.split(), lam=0, mu=1)
+        got = ""
+        for name in sorted(RULES_BY_NAME):
+            try:
+                RULES_BY_NAME[name](inst)
+                got += "+"
+            except ValueError:
+                got += "-"
+        assert got == runs
+        if message is None:
+            kernelize(inst)
+        else:
+            with pytest.raises(ValueError) as exc:
+                kernelize(inst)
+            assert str(exc.value) == message
+
+    def test_star_message(self):
+        wide = wedce(unit_path(3), {(0, 1): {1, 2}, (1, 2): {2}}, r=2, k=1)
+        with pytest.raises(ValueError) as exc:
+            kernelize(wide)
+        assert str(exc.value) == \
+            "rules need a *-variant instance: delta(0,1) is not a singleton"
+
     def test_answers_preserved_end_to_end(self):
         rng = random.Random(23)
         for _ in range(40):
