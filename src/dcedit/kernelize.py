@@ -7,9 +7,19 @@ of what each kind checks); its boundary B(C) collects the external
 neighbours, and layer C_i holds the region vertices at distance i from
 B(C) (distances measured in the whole graph; layers start at 1).
 
-Rule application is a pure instance-to-instance step.  Each rule returns
-``(new_instance, TraceStep)`` or ``None`` when it does not apply; the
-``kernelize`` driver composes them under a fixed priority until fixpoint.
+``_RULES`` is the one table of which (kind, ops) pairs each rule covers.
+A public rule (``rr1_high_degree`` .. ``rr6_shrink_wsre``) refuses a pair
+its row does not cover; ``kernelize`` runs the rules that cover the
+instance, in name order.  Rule 1 looks at single vertices; rules 2-6 are
+steps on one clean region.  One round tries rule 1, then builds the clean
+regions once and offers them to each covered region step in turn; the
+first rule that fires ends the round with ``(new_instance, TraceStep)``.
+``kernelize`` repeats rounds until none fires.
+
+The *-variant check runs once when a public rule or ``kernelize`` is
+entered; after that only ``find_clean_regions`` checks it, once per round.
+Every rule pins the lists it rewrites to singletons, so a *-variant
+instance stays one.
 
 Two deliberate differences from the naive rule statements, both forced by
 answer preservation on weighted instances (see the repository notes):
@@ -26,9 +36,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Tuple
 
-from .graphs import WeightedGraph, edge_key, weighted_degree
+from .graphs import edge_key, weighted_degree
 from .problems import (
     EDEL,
     VDEL,
@@ -132,43 +143,39 @@ def find_clean_regions(inst: ProblemInstance) -> List[CleanRegion]:
     return regions
 
 
-def _prune_dead(cs, graph: WeightedGraph):
-    """Drop stored constraint entries that mention deleted vertices."""
-    alive = set(graph.vertices())
+def _rewrite(inst: ProblemInstance, graph, rule: str, affected, k_delta=0,
+             **pins):
+    """``inst`` moved onto ``graph`` with budget k + k_delta, and its step.
 
-    def keep_v(m):
-        return {v: s for v, s in m.items() if v in alive}
-
-    def keep_p(m):
-        return {p: s for p, s in m.items() if p[0] in alive and p[1] in alive}
-
-    return cs.replace(delta_v=keep_v(cs.delta_v), delta_e=keep_p(cs.delta_e),
-                      nu=keep_p(cs.nu), xi=keep_p(cs.xi))
-
-
-def _patched(cs, **updates):
-    """cs with the given constraint maps replaced, widening r / lambda / mu to
-    cover the new values.
-
-    Structural rules pin constraints to degree sums or common-neighbour
-    counts of the rewritten graph, and clique completion can push those
-    past the original bounds.  Widening is sound on *-variant instances:
-    every consulted list is an explicit singleton (or a singleton default),
-    so the wider full-range fallbacks are never consulted.
+    Stored constraint entries that mention deleted vertices are dropped and
+    ``pins`` (new lists, keyed by map name: delta_v, delta_e, nu, xi) are
+    merged in over them.  Structural rules pin constraints to degree sums or
+    common-neighbour counts of the rewritten graph, and clique completion
+    can push those past the original bounds, so r / lambda / mu widen to
+    cover the pins.  Widening is sound on *-variant instances: every
+    consulted list is an explicit singleton (or a singleton default), so
+    the wider full-range fallbacks are never consulted.
     """
-    maps = {
-        name: updates.get(name, getattr(cs, name))
-        for name in ("delta_v", "delta_e", "nu", "xi")
-    }
+    cs = inst.constraints
+    alive = set(graph.vertices())
+    maps = {"delta_v": {v: s for v, s in cs.delta_v.items() if v in alive}}
+    for name in ("delta_e", "nu", "xi"):
+        maps[name] = {p: s for p, s in getattr(cs, name).items()
+                      if p[0] in alive and p[1] in alive}
+    for name, pinned in pins.items():
+        maps[name].update(pinned)
 
-    def peak(*dicts):
-        return max((x for m in dicts for s in m.values() for x in s),
-                   default=0)
+    def peak(*names):
+        # stored lists already lie within the bounds, so only pins can widen
+        return max((x for n in names for s in pins.get(n, {}).values()
+                    for x in s), default=0)
 
-    lam = cs.lam if cs.lam is None else max(cs.lam, peak(maps["nu"]))
-    mu = cs.mu if cs.mu is None else max(cs.mu, peak(maps["xi"]))
-    r = max(cs.r, peak(maps["delta_v"], maps["delta_e"]), lam or 0, mu or 0)
-    return cs.replace(r=r, lam=lam, mu=mu, **maps)
+    lam = cs.lam if cs.lam is None else max(cs.lam, peak("nu"))
+    mu = cs.mu if cs.mu is None else max(cs.mu, peak("xi"))
+    r = max(cs.r, peak("delta_v", "delta_e"), lam or 0, mu or 0)
+    new = inst.replace(graph=graph, k=inst.k + k_delta,
+                       constraints=cs.replace(r=r, lam=lam, mu=mu, **maps))
+    return new, TraceStep(rule, tuple(affected), k_delta)
 
 
 # -- rule 1: unsalvageable high-degree vertices -----------------------------
@@ -202,79 +209,52 @@ def _rescuable(inst: ProblemInstance, v) -> bool:
     return best[cap] >= shortfall
 
 
-def rr1_high_degree(inst: ProblemInstance):
-    """Delete a vertex whose weighted degree provably cannot be repaired."""
-    if inst.kind not in (WEDCE, WERE, WSRE):
-        raise ValueError(f"rule 1 does not cover kind {inst.kind}")
-    if VDEL not in inst.ops or not inst.ops <= {VDEL, EDEL}:
-        raise ValueError("rule 1 needs vdel in ops and ops within {vdel, edel}")
-    _require_star(inst)
+def _high_degree(inst: ProblemInstance):
     g = inst.graph
     for v in g.vertices():
         if weighted_degree(g, v) > inst.k + inst.constraints.r and \
                 not _rescuable(inst, v):
             cost = g.vertex_weight(v)
-            new_g = g.delete_vertex(v)
-            new = inst.replace(graph=new_g, k=inst.k - cost,
-                               constraints=_prune_dead(inst.constraints, new_g))
-            return new, TraceStep("rr1", (v,), -cost)
+            return _rewrite(inst, g.delete_vertex(v), "rr1", (v,), -cost)
     return None
 
 
-# -- rule 2: clean regions with empty boundary ------------------------------
+# -- region steps: each takes (inst, region, rule name), None if it does not fire
 
 
-def rr2_isolated_clean(inst: ProblemInstance):
-    """Remove one whole clean region that has no external neighbours."""
-    for region in find_clean_regions(inst):
-        if not region.boundary:
-            keep = set(inst.graph.vertices()) - region.vertices
-            new_g = inst.graph.subgraph(keep)
-            new = inst.replace(graph=new_g,
-                               constraints=_prune_dead(inst.constraints, new_g))
-            return new, TraceStep("rr2", tuple(sorted(region.vertices)), 0)
-    return None
+def _drop_isolated(inst: ProblemInstance, region: CleanRegion, rule: str):
+    if region.boundary:
+        return None
+    keep = set(inst.graph.vertices()) - region.vertices
+    return _rewrite(inst, inst.graph.subgraph(keep), rule, sorted(region.vertices))
 
 
-# -- rule 3: deep layers of a clean region (WEDCE) --------------------------
-
-
-def rr3_deep_clean_wedce(inst: ProblemInstance):
-    """Delete layers C_i, i >= k+2, then re-pin delta on the frontier edges."""
-    if inst.kind != WEDCE:
-        raise ValueError("rule 3 is a WEDCE rule")
-    if not inst.ops <= {VDEL, EDEL}:
-        raise ValueError("rule 3 needs ops within {vdel, edel}")
-    _require_star(inst)
+def _cut_deep_layers(inst: ProblemInstance, region: CleanRegion, rule: str):
     k = inst.k
-    for region in find_clean_regions(inst):
-        if not region.boundary or len(region.layers) < k + 2:
-            continue
-        doomed = set()
-        for layer in region.layers[k + 1:]:
-            doomed |= layer
-        keep = set(inst.graph.vertices()) - doomed
-        new_g = inst.graph.subgraph(keep)
-        frontier = region.layer(k + 1)
-        # the frontier's surviving neighbours: C_{k+1} itself and the layer
-        # above it (the boundary itself when k = 0)
-        inward = region.layer(k) if k >= 1 else region.boundary
-        cs = _prune_dead(inst.constraints, new_g)
-        delta_e = dict(cs.delta_e)
-        for u in sorted(frontier):
-            for v in sorted(new_g.neighbors(u)):
-                if v in frontier or v in inward:
-                    d = weighted_degree(new_g, u) + weighted_degree(new_g, v)
-                    delta_e[edge_key(u, v)] = frozenset((d,))
-        new = inst.replace(graph=new_g, constraints=_patched(cs, delta_e=delta_e))
-        return new, TraceStep("rr3", tuple(sorted(doomed)), 0)
-    return None
+    if not region.boundary or len(region.layers) < k + 2:
+        return None
+    doomed = set()
+    for layer in region.layers[k + 1:]:
+        doomed |= layer
+    keep = set(inst.graph.vertices()) - doomed
+    new_g = inst.graph.subgraph(keep)
+    frontier = region.layer(k + 1)
+    # the frontier's surviving neighbours: C_{k+1} itself and the layer
+    # above it (the boundary itself when k = 0)
+    inward = region.layer(k) if k >= 1 else region.boundary
+    delta_e = {}
+    for u in sorted(frontier):
+        for v in sorted(new_g.neighbors(u)):
+            if v in frontier or v in inward:
+                d = weighted_degree(new_g, u) + weighted_degree(new_g, v)
+                delta_e[edge_key(u, v)] = frozenset((d,))
+    return _rewrite(inst, new_g, rule, sorted(doomed), delta_e=delta_e)
 
 
-# -- rule 4: contract a clean region to one edge (WEDCE, edge deletion only) -
-
-
-def _rr4_result(inst: ProblemInstance, region: CleanRegion):
+def _contract(inst: ProblemInstance, region: CleanRegion, rule: str):
+    if len(region.vertices) < 2 or not region.boundary or \
+            _already_contracted(inst, region):
+        return None
     g = inst.graph
     comp = region.vertices
     fresh = max(g.vertices()) + 1
@@ -289,33 +269,13 @@ def _rr4_result(inst: ProblemInstance, region: CleanRegion):
     for b in sorted(region.boundary):
         w = sum(g.edge_weight(b, c) for c in g.neighbors(b) & comp)
         new_g = new_g.add_edge(b, u_new, w)
-    cs = _prune_dead(inst.constraints, new_g)
-    delta_e = dict(cs.delta_e)
     du = weighted_degree(new_g, u_new)
-    delta_e[edge_key(u_new, v_new)] = frozenset(
-        (du + weighted_degree(new_g, v_new),)
-    )
+    delta_e = {edge_key(u_new, v_new):
+               frozenset((du + weighted_degree(new_g, v_new),))}
     for b in sorted(region.boundary):
         delta_e[edge_key(b, u_new)] = frozenset((weighted_degree(new_g, b) + du,))
-    new = inst.replace(graph=new_g, constraints=_patched(cs, delta_e=delta_e))
-    return new, TraceStep("rr4", tuple(sorted(comp)) + (u_new, v_new), 0)
-
-
-def rr4_contract_clean_wedce_edel(inst: ProblemInstance):
-    """Replace a clean region by a fresh edge uv; boundary weights are the
-    exact sums of the replaced edges, the internal weight clamps at k+1."""
-    if inst.kind != WEDCE:
-        raise ValueError("rule 4 is a WEDCE rule")
-    if inst.ops != frozenset((EDEL,)):
-        raise ValueError("rule 4 applies only when ops is exactly {edel}")
-    _require_star(inst)
-    for region in find_clean_regions(inst):
-        if len(region.vertices) < 2 or not region.boundary:
-            continue
-        if _already_contracted(inst, region):
-            continue
-        return _rr4_result(inst, region)
-    return None
+    return _rewrite(inst, new_g, rule, sorted(comp) + [u_new, v_new],
+                    delta_e=delta_e)
 
 
 def _already_contracted(inst: ProblemInstance, region: CleanRegion) -> bool:
@@ -335,13 +295,12 @@ def _already_contracted(inst: ProblemInstance, region: CleanRegion) -> bool:
     return all(len(g.neighbors(x) & region.vertices) == 1 for x in region.boundary)
 
 
-# -- rules 5 and 6: shrink a clean region to its shallow layers -------------
-
-
-def _shrink_region(inst: ProblemInstance, region: CleanRegion, depth: int,
-                   rule: str):
-    """Shared engine: keep layers 1..depth, clique them, re-pin constraints,
-    absorb the deleted weight onto the lowest-id kept vertex."""
+def _shrink_region(inst: ProblemInstance, region: CleanRegion, rule: str,
+                   depth: int):
+    """Keep layers 1..depth, clique them, re-pin constraints, absorb the
+    deleted weight onto the lowest-id kept vertex."""
+    if not region.boundary:
+        return None
     g = inst.graph
     kept = set()
     for layer in region.layers[:depth]:
@@ -359,62 +318,97 @@ def _shrink_region(inst: ProblemInstance, region: CleanRegion, depth: int,
         new_g = new_g.set_vertex_weight(
             carrier, min(inst.k + 1, g.vertex_weight(carrier) + absorbed)
         )
-    cs = _prune_dead(inst.constraints, new_g)
     m = measures(new_g.vertices(), new_g.edges(), new_g.adjacency(),
                  new_g.edge_weights(), inst.kind)
-    delta_v = dict(cs.delta_v)
-    delta_v.update((v, {d}) for v, d in zip(m.verts, m.wdeg) if v in kept)
-    nu = dict(cs.nu)
-    nu.update((e, {c}) for e, c in zip(m.edges, m.ecom) if kept.intersection(e))
-    xi = dict(cs.xi)
+    delta_v = {v: {d} for v, d in zip(m.verts, m.wdeg) if v in kept}
+    nu = {e: {c} for e, c in zip(m.edges, m.ecom) if kept.intersection(e)}
+    xi = {}
     if inst.kind == WSRE:
-        xi.update((p, {c}) for p, c in zip(m.pairs, m.pcom) if kept.intersection(p))
-    new_cs = _patched(cs, delta_v=delta_v, nu=nu, xi=xi)
-    new = inst.replace(graph=new_g, constraints=new_cs)
-    if new == inst:
-        return None
-    return new, TraceStep(rule, tuple(sorted(region.vertices)), 0)
+        xi = {p: {c} for p, c in zip(m.pairs, m.pcom) if kept.intersection(p)}
+    got = _rewrite(inst, new_g, rule, sorted(region.vertices),
+                   delta_v=delta_v, nu=nu, xi=xi)
+    return None if got[0] == inst else got
+
+
+# -- the rule table, rounds and the driver ----------------------------------
+
+_ANY_KIND = (WEDCE, WERE, WSRE)
+_WITH_VDEL = (frozenset((VDEL,)), frozenset((VDEL, EDEL)))
+_DELETIONS = frozenset((VDEL, EDEL))
+
+# rule -> (kinds, ops sets it covers (None: any), region step (None: rule 1))
+_RULES = {
+    "rr1": (_ANY_KIND, _WITH_VDEL, None),
+    "rr2": (_ANY_KIND, None, _drop_isolated),
+    "rr3": ((WEDCE,), _WITH_VDEL + (frozenset((EDEL,)),), _cut_deep_layers),
+    "rr4": ((WEDCE,), (frozenset((EDEL,)),), _contract),
+    "rr5": ((WERE,), _WITH_VDEL, partial(_shrink_region, depth=1)),
+    "rr6": ((WSRE,), _WITH_VDEL, partial(_shrink_region, depth=2)),
+}
+
+
+def _covers(rule: str, inst: ProblemInstance) -> bool:
+    kinds, op_sets, _ = _RULES[rule]
+    return inst.kind in kinds and (op_sets is None or inst.ops in op_sets)
+
+
+def _round(inst: ProblemInstance, rules: Tuple[str, ...]):
+    """The first of ``rules`` (in order) that fires on inst, as
+    ``(new_instance, TraceStep)``, or None.  Rule 1 goes first; the clean
+    regions are then built once and offered to each region step."""
+    if rules[0] == "rr1":
+        got = _high_degree(inst)
+        if got is not None or len(rules) == 1:
+            return got
+        rules = rules[1:]
+    regions = find_clean_regions(inst)
+    for rule in rules:
+        step = _RULES[rule][2]
+        for region in regions:
+            got = step(inst, region, rule)
+            if got is not None:
+                return got
+    return None
+
+
+def _apply(rule: str, inst: ProblemInstance):
+    if not _covers(rule, inst):
+        ops = ", ".join(sorted(inst.ops))
+        raise ValueError(f"{rule} does not cover ({inst.kind}, {{{ops}}})")
+    _require_star(inst)
+    return _round(inst, (rule,))
+
+
+def rr1_high_degree(inst: ProblemInstance):
+    """Delete a vertex whose weighted degree provably cannot be repaired."""
+    return _apply("rr1", inst)
+
+
+def rr2_isolated_clean(inst: ProblemInstance):
+    """Remove one whole clean region that has no external neighbours."""
+    return _apply("rr2", inst)
+
+
+def rr3_deep_clean_wedce(inst: ProblemInstance):
+    """Delete layers C_i, i >= k+2, then re-pin delta on the frontier edges."""
+    return _apply("rr3", inst)
+
+
+def rr4_contract_clean_wedce_edel(inst: ProblemInstance):
+    """Replace a clean region by a fresh edge uv; boundary weights are the
+    exact sums of the replaced edges, the internal weight clamps at k+1."""
+    return _apply("rr4", inst)
 
 
 def rr5_shrink_were(inst: ProblemInstance):
     """Shrink a WERE clean region to a patched clique on its first layer."""
-    if inst.kind != WERE:
-        raise ValueError("rule 5 is a WERE rule")
-    if VDEL not in inst.ops or not inst.ops <= {VDEL, EDEL}:
-        raise ValueError("rule 5 needs vdel in ops and ops within {vdel, edel}")
-    _require_star(inst)
-    for region in find_clean_regions(inst):
-        if not region.boundary:
-            continue
-        got = _shrink_region(inst, region, 1, "rr5")
-        if got is not None:
-            return got
-    return None
+    return _apply("rr5", inst)
 
 
 def rr6_shrink_wsre(inst: ProblemInstance):
     """Shrink a WSRE clean region to a patched clique on layers 1 and 2."""
-    if inst.kind != WSRE:
-        raise ValueError("rule 6 is a WSRE rule")
-    if VDEL not in inst.ops or not inst.ops <= {VDEL, EDEL}:
-        raise ValueError("rule 6 needs vdel in ops and ops within {vdel, edel}")
-    _require_star(inst)
-    for region in find_clean_regions(inst):
-        if not region.boundary:
-            continue
-        got = _shrink_region(inst, region, 2, "rr6")
-        if got is not None:
-            return got
-    return None
+    return _apply("rr6", inst)
 
-
-# -- driver -----------------------------------------------------------------
-
-_STRUCTURAL = {
-    WEDCE: (rr3_deep_clean_wedce, rr4_contract_clean_wedce_edel),
-    WERE: (rr5_shrink_were,),
-    WSRE: (rr6_shrink_wsre,),
-}
 
 RULES_BY_NAME = {
     "rr1": rr1_high_degree,
@@ -426,43 +420,26 @@ RULES_BY_NAME = {
 }
 
 
-def _applicable_rules(inst: ProblemInstance):
-    rules = []
-    if VDEL in inst.ops and inst.ops <= {VDEL, EDEL}:
-        rules.append(rr1_high_degree)
-    rules.append(rr2_isolated_clean)
-    for rule in _STRUCTURAL[inst.kind]:
-        if rule is rr4_contract_clean_wedce_edel:
-            if inst.ops == frozenset((EDEL,)):
-                rules.append(rule)
-        elif rule is rr3_deep_clean_wedce:
-            rules.append(rule)
-        elif VDEL in inst.ops:
-            rules.append(rule)
-    return rules
-
-
 def kernelize(inst: ProblemInstance):
-    """Apply the applicable rules to exhaustion; returns (reduced, trace)."""
-    if inst.kind not in _STRUCTURAL:
+    """Run the rules that cover inst, in rounds, until none fires; returns
+    (reduced, trace)."""
+    if not any(inst.kind in kinds for kinds, _, _ in _RULES.values()):
         raise ValueError(f"no reduction rules cover kind {inst.kind}")
-    if not inst.ops <= {VDEL, EDEL}:
+    if not inst.ops <= _DELETIONS:
         raise ValueError("reduction rules cover ops within {vdel, edel} only")
-    if inst.kind in (WERE, WSRE) and VDEL not in inst.ops:
+    rules = tuple(rule for rule in _RULES if _covers(rule, inst))
+    if rules == ("rr2",):  # dropping clean components alone bounds nothing
         raise ValueError(f"no {inst.kind} rules apply without vdel")
     _require_star(inst)
     steps: List[TraceStep] = []
     for _ in range(100_000):
         if inst.k < 0:
             break  # already an immediate no; nothing left to shrink
-        for rule in _applicable_rules(inst):
-            got = rule(inst)
-            if got is not None:
-                inst, step = got
-                steps.append(step)
-                break
-        else:
+        got = _round(inst, rules)
+        if got is None:
             break
+        inst, step = got
+        steps.append(step)
     else:
         raise RuntimeError("kernelize failed to reach a fixpoint")
     return inst, KernelTrace(tuple(steps), inst)

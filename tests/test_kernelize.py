@@ -6,6 +6,7 @@ constraint patches by hand.
 """
 
 import random
+from importlib import import_module
 
 import pytest
 
@@ -35,7 +36,7 @@ from dcedit.problems import (
     WSRE,
 )
 
-from conftest import star_graph, uniform_instance
+from conftest import exact_instance, star_graph, uniform_instance
 
 
 def wedce(g, delta_e, r, k, ops=frozenset({VDEL, EDEL})):
@@ -350,6 +351,39 @@ class TestDriver:
         other = uniform_instance(WEDCE, c5, r=1, k=1, ops={VDEL, EDEL})
         with pytest.raises(ValueError):
             replay_trace(other, trace)
+
+    @staticmethod
+    def three_rule_wsre():
+        """A clean triangle (rule 2), a hub whose clean tail is four layers
+        deep (rule 6), and a star center of degree 7 > k + r (rule 1)."""
+        edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (5, 6), (6, 7), (7, 8)]
+        edges += [(9, leaf) for leaf in range(10, 17)]
+        g = WeightedGraph({v: 1 for v in range(17)}, {e: 1 for e in edges})
+        inst = exact_instance(WSRE, g, 1, {VDEL, EDEL})
+        cs = inst.constraints
+        delta_v = dict(cs.delta_v)
+        delta_v.update({3: {1}, 4: {0}, 9: {2}})
+        return inst.replace(constraints=cs.replace(r=2, delta_v=delta_v))
+
+    def test_one_star_check_per_round(self, monkeypatch):
+        module = import_module("dcedit.kernelize")
+        calls = {"star": 0, "regions": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        # kernelize must look both up as module globals at call time
+        monkeypatch.setattr(module, "star_violation",
+                            counting("star", module.star_violation))
+        monkeypatch.setattr(module, "find_clean_regions",
+                            counting("regions", module.find_clean_regions))
+        _, trace = kernelize(self.three_rule_wsre())
+        assert {"rr1", "rr2", "rr6"} <= {s.rule for s in trace.steps}
+        assert 1 <= calls["regions"] <= len(trace.steps) + 1
+        assert 1 <= calls["star"] <= 1 + calls["regions"]
 
     def test_unsupported_combinations_rejected(self, c5):
         with pytest.raises(ValueError):
