@@ -119,10 +119,6 @@ class WeightedGraph:
     def neighbors(self, v) -> frozenset:
         return self._adj[v]
 
-    def degree(self, v) -> int:
-        """Unweighted degree |N(v)|."""
-        return len(self._adj[v])
-
     def non_adjacent_pairs(self) -> Iterator[Tuple]:
         vs = self.vertices()
         for i, u in enumerate(vs):

@@ -36,9 +36,6 @@ EDEL = "edel"
 EADD = "eadd"
 ALL_OPS = (VDEL, EDEL, EADD)
 
-# Kinds whose delta constrains vertices rather than edges.
-VERTEX_DELTA_KINDS = (WDCE, WERE, WSRE)
-
 
 def _norm_sets(mapping, pair=False):
     if pair:

@@ -465,8 +465,6 @@ def solve_wsre(inst: ProblemInstance) -> SolveReport:
     answer but drop the witness."""
     if inst.kind != WSRE:
         raise ValueError("solve_wsre expects a WSRE instance")
-    if VDEL not in inst.ops or not inst.ops <= {VDEL, EDEL}:
-        raise ValueError("solve_wsre needs vdel in ops and ops within {vdel, edel}")
     reduced, trace = kernelize(inst)
     if reduced.graph.n > ORACLE_MAX_VERTICES or reduced.k > ORACLE_MAX_BUDGET:
         raise KernelTooLargeError(
