@@ -334,14 +334,14 @@ def _shrink_region(inst: ProblemInstance, region: CleanRegion, rule: str,
 
 _ANY_KIND = (WEDCE, WERE, WSRE)
 _WITH_VDEL = (frozenset((VDEL,)), frozenset((VDEL, EDEL)))
-_DELETIONS = frozenset((VDEL, EDEL))
+_EDEL_ONLY = (frozenset((EDEL,)),)
 
 # rule -> (kinds, ops sets it covers (None: any), region step (None: rule 1))
 _RULES = {
     "rr1": (_ANY_KIND, _WITH_VDEL, None),
     "rr2": (_ANY_KIND, None, _drop_isolated),
-    "rr3": ((WEDCE,), _WITH_VDEL + (frozenset((EDEL,)),), _cut_deep_layers),
-    "rr4": ((WEDCE,), (frozenset((EDEL,)),), _contract),
+    "rr3": ((WEDCE,), _WITH_VDEL + _EDEL_ONLY, _cut_deep_layers),
+    "rr4": ((WEDCE,), _EDEL_ONLY, _contract),
     "rr5": ((WERE,), _WITH_VDEL, partial(_shrink_region, depth=1)),
     "rr6": ((WSRE,), _WITH_VDEL, partial(_shrink_region, depth=2)),
 }
@@ -425,7 +425,7 @@ def kernelize(inst: ProblemInstance):
     (reduced, trace)."""
     if not any(inst.kind in kinds for kinds, _, _ in _RULES.values()):
         raise ValueError(f"no reduction rules cover kind {inst.kind}")
-    if not inst.ops <= _DELETIONS:
+    if not inst.ops <= {VDEL, EDEL}:
         raise ValueError("reduction rules cover ops within {vdel, edel} only")
     rules = tuple(rule for rule in _RULES if _covers(rule, inst))
     if rules == ("rr2",):  # dropping clean components alone bounds nothing
