@@ -257,6 +257,36 @@ class TestDispatcher:
                 assert check_constraints(inst, edited)
                 assert rep.witness.cost <= inst.k
 
+    def test_weighted_agreement_sweep(self):
+        # weighted graphs and lists of one to four arbitrary values, over
+        # every deletion ops set: the trees must match the oracle
+        rng = random.Random(2015)
+        for _ in range(400):
+            g = random_graph(rng.randint(3, 7), rng.choice([0.4, 0.6]),
+                             seed=rng.randrange(10 ** 6))
+            g = WeightedGraph({v: rng.randint(1, 3) for v in g.vertices()},
+                              {e: rng.randint(1, 4) for e in g.edges()})
+            kind = rng.choice([WEDCE, WERE])
+            r = rng.randint(2, 8)
+
+            def some():
+                return set(rng.sample(range(r + 1), rng.randint(1, min(4, r + 1))))
+
+            if kind == WEDCE:
+                cs = ConstraintSet(r=r, delta_e={e: some() for e in g.edges()})
+            else:
+                cs = ConstraintSet(r=r, lam=rng.randint(0, min(r, 2)),
+                                   delta_v={v: some() for v in g.vertices()})
+            ops = rng.choice([{VDEL}, {EDEL}, {VDEL, EDEL}])
+            inst = ProblemInstance(kind, g, cs, ops, rng.randint(0, 5))
+            rep = solve(inst)
+            assert rep.answer == brute_force_solve(inst).answer
+            assert rep.nodes_visited <= rep.tree_bound
+            if rep.answer:
+                edited = apply_edit_script(inst.graph, rep.witness)
+                assert check_constraints(inst, edited)
+                assert rep.witness.cost <= inst.k
+
 
 def _pinned_instances():
     """Seeded WEDCE and WERE instances over every deletion ops set, with edge
