@@ -8,26 +8,22 @@ strategy: where the first violation sits, its ordered list of repairs,
 and the branching factor that bounds that list (2r+5 for WEDCE, 3r+6 for
 WERE, r+3 for either with vertex deletion only).  WERE's strategy also
 names vertices every solution must delete; the engine removes them before
-the node branches, without counting a node.  Branch sets are chosen
-greedily so that if no branch element is edited, the surviving weight
+the node branches, without counting a node.  Every branch deletes a vertex
+or a whole edge at its full weight, as a solution does, so the edits on
+the path to an accepting node are the witness.  Branch sets are chosen
+greedily so that if no branch element is deleted, the surviving weight
 around the violation pins its value above every reachable target — that
 keeps the child count within the branching factor while staying complete.
 
 A solve edits one working graph in place, built once from the input: each
-edit updates weights, adjacency and weighted degrees in O(deg) and returns
-a record that undoes it.  The engine undoes every child after it returns,
-and a node's forced deletions and reductions when the node exits.  Each
-strategy keeps its violations as sets that it updates from every edit and
-undo, so a node costs what its edits touch rather than the whole graph.
-
-Edge weights bring one wrinkle: the branch "reduce this edge's weight by
-one" can leave an edge partially reduced, a state no legal edit set
-realises (edge deletion is all-or-nothing at full weight).  Reduced edges
-are therefore tracked as *pending* and a state only accepts once its
-pending edges are gone — fully reduced, deleted outright, or removed with
-an endpoint; the reported witness contains whole deletions only and is
-re-priced against the input graph.  Weight-1 edges skip the reduction
-branch entirely (reducing them is deleting them).
+deletion updates weights, adjacency and weighted degrees in O(deg) and
+pushes what it removed onto the graph's one undo trail.  Each strategy
+keeps its violations as sets that it updates from every deletion, pushing
+what it changed onto the same trail, so a node costs what its edits touch
+rather than the whole graph.  A node marks the trail's length before its
+children and pops back to the mark after each one returns, which undoes
+the child's deletion, the forced deletions below it and the set updates of
+all of them.
 """
 
 from __future__ import annotations
@@ -53,9 +49,6 @@ from .problems import (
     canonical_steps,
     star_violation,
 )
-
-# Branch operation: lower an edge's weight by one (deleting it at weight 1).
-_REDUCE = "reduce"
 
 
 @dataclass(frozen=True)
@@ -90,17 +83,18 @@ def _max_allowed_at_most(allowed: frozenset, d: int) -> Optional[int]:
 class _WorkGraph:
     """The one graph a search edits in place: vertex weights ``vw``, edge
     weights ``ew`` (keyed by ``edge_key``), adjacency sets ``adj`` and
-    weighted degrees ``wd``.  An edit costs O(deg) and returns the record
-    that ``undo`` takes to restore the graph exactly: the change, ``(vdel,
-    v, (weight, {neighbour: edge weight}))`` or ``(edel, e, (old weight,
-    new weight))``, and what ``watch(self, change)`` returned on hearing
-    it, the function that undoes the watcher's own bookkeeping.
-    ``touched``, ``gone`` and ``rewired`` say what a change did.  At
-    construction ``watch`` hears None: the whole graph is new."""
+    weighted degrees ``wd``.  A deletion costs O(deg) and pushes its change
+    onto ``trail``: ``(vdel, v, (weight, {neighbour: edge weight}))`` or
+    ``(edel, e, weight)``.  It then hands the change to ``update(self,
+    change)``, which pushes ``(set, added, dropped)`` for each violation
+    set it changes (see ``_sync``).  ``undo_to(mark)`` pops the trail back
+    to length ``mark`` and restores what each entry changed.  ``touched``,
+    ``gone`` and ``rewired`` say what a change did.  At construction
+    ``update`` hears None: the whole graph is new."""
 
-    __slots__ = ("vw", "ew", "adj", "wd", "_watch")
+    __slots__ = ("vw", "ew", "adj", "wd", "trail", "_update")
 
-    def __init__(self, g: WeightedGraph, watch: Callable):
+    def __init__(self, g: WeightedGraph, update: Callable):
         self.vw = dict(g.vertex_weights())
         self.ew = dict(g.edge_weights())
         self.adj = {v: set(g.neighbors(v)) for v in self.vw}
@@ -108,8 +102,9 @@ class _WorkGraph:
         for (u, v), w in self.ew.items():
             self.wd[u] += w
             self.wd[v] += w
-        self._watch = watch
-        watch(self, None)
+        self.trail: list = []
+        self._update = update
+        update(self, None)
 
     def weight(self, u, v) -> int:
         return self.ew[edge_key(u, v)]
@@ -133,13 +128,11 @@ class _WorkGraph:
         if change is None:
             return ()
         op, ref, saved = change
-        if op == VDEL:
-            return [edge_key(ref, y) for y in saved[1]]
-        return () if saved[1] else (ref,)
+        return [edge_key(ref, y) for y in saved[1]] if op == VDEL else (ref,)
 
     def rewired(self, change: Optional[tuple]) -> Iterable:
         """The present edges whose common-neighbour count ``change`` may
-        have changed, and the edges it added."""
+        have changed."""
         if change is None:
             return self.ew
         op, ref, saved = change
@@ -147,14 +140,8 @@ class _WorkGraph:
         if op == VDEL:
             nbrs = saved[1]
             return {edge_key(a, b) for a in nbrs for b in adj[a] if b in nbrs}
-        old, new = saved
-        if bool(old) == bool(new):
-            return ()  # reweighted: adjacency unchanged
         u, v = ref
-        out = {edge_key(x, y) for y in adj[u] & adj[v] for x in ref}
-        if new:
-            out.add(ref)
-        return out
+        return {edge_key(x, y) for y in adj[u] & adj[v] for x in ref}
 
     def _set_weight(self, e: tuple, w: int) -> int:
         """Give edge ``e`` weight ``w``, where 0 means absent; the old weight."""
@@ -162,72 +149,73 @@ class _WorkGraph:
         old = self.ew.pop(e, 0)
         if w:
             self.ew[e] = w
-            if not old:
-                self.adj[u].add(v)
-                self.adj[v].add(u)
-        elif old:
+            self.adj[u].add(v)
+            self.adj[v].add(u)
+        else:
             self.adj[u].discard(v)
             self.adj[v].discard(u)
         self.wd[u] += w - old
         self.wd[v] += w - old
         return old
 
-    def delete_vertex(self, v) -> tuple:
+    def _push(self, change: tuple) -> None:
+        self.trail.append(change)
+        self._update(self, change)
+
+    def delete_vertex(self, v) -> None:
         lost = {y: self._set_weight(edge_key(v, y), 0) for y in list(self.adj[v])}
         del self.adj[v], self.wd[v]
-        change = (VDEL, v, (self.vw.pop(v), lost))
-        return change, self._watch(self, change)
+        self._push((VDEL, v, (self.vw.pop(v), lost)))
 
-    def set_edge_weight(self, e: tuple, w: int) -> tuple:
-        """Reweight edge ``e``; weight 0 deletes it."""
-        change = (EDEL, e, (self._set_weight(e, w), w))
-        return change, self._watch(self, change)
+    def delete_edge(self, e: tuple) -> None:
+        self._push((EDEL, e, self._set_weight(e, 0)))
 
-    def undo(self, rec: tuple) -> None:
-        (op, ref, saved), unwatch = rec
-        if op == VDEL:
-            self.vw[ref], lost = saved
-            self.adj[ref] = set()
-            self.wd[ref] = 0
-            for y, w in lost.items():
-                self._set_weight(edge_key(ref, y), w)
-        else:
-            self._set_weight(ref, saved[0])
-        unwatch()
+    def undo_to(self, mark: int) -> None:
+        trail = self.trail
+        while len(trail) > mark:
+            head, ref, saved = trail.pop()
+            if head == VDEL:
+                self.vw[ref], lost = saved
+                self.adj[ref] = set()
+                self.wd[ref] = 0
+                for y, w in lost.items():
+                    self._set_weight(edge_key(ref, y), w)
+            elif head == EDEL:
+                self._set_weight(ref, saved)
+            else:  # a violation set and what _sync added to and dropped from it
+                head -= ref
+                head |= saved
 
 
 # -- the engine -------------------------------------------------------------
 
 
-def _edit(op: str, ref, g: _WorkGraph, k: int, pending: frozenset, steps: tuple):
-    """Apply one edit to ``g`` in place and return ``(undo record, k,
-    pending, steps)`` for the new state, or None, leaving ``g`` as it was,
-    when the edit costs more than ``k``.  ``ref`` is a vertex for ``vdel``
-    and an edge key otherwise."""
+def _edit(op: str, ref, g: _WorkGraph, k: int, steps: tuple):
+    """Delete ``ref`` from ``g`` in place and return ``(k, steps)`` for the
+    new state, or None, leaving ``g`` as it was, when the deletion costs
+    more than ``k``.  ``ref`` is a vertex for ``vdel`` and an edge key for
+    ``edel``."""
     if op == VDEL:
         cost = g.vw[ref]
         if cost > k:
             return None
-        drop = {edge_key(ref, y) for y in g.adj[ref]}
-        return g.delete_vertex(ref), k - cost, pending - drop, steps + ((VDEL, ref),)
+        g.delete_vertex(ref)
+        return k - cost, steps + ((VDEL, ref),)
     w = g.ew[ref]
-    if op == _REDUCE and w > 1:
-        if k < 1:
-            return None
-        return g.set_edge_weight(ref, w - 1), k - 1, pending | {ref}, steps
     if w > k:
         return None
-    return g.set_edge_weight(ref, 0), k - w, pending - {ref}, steps + ((EDEL,) + ref,)
+    g.delete_edge(ref)
+    return k - w, steps + ((EDEL,) + ref,)
 
 
 class _Strategy:
     """The per-kind part of the search.  Subclasses supply
     ``factor(r, edel)``, the most children a node can have;
-    ``update(g, change, log)``, which brings the strategy's violation sets
-    up to date with a change to the working graph ``g`` (None: the whole
-    graph) through ``_sync``; ``violation()``, the first violated
+    ``update(g, change)``, which brings the strategy's violation sets up to
+    date with a change to the working graph ``g`` (None: the whole graph)
+    through ``_sync``, on ``g.trail``; ``violation()``, the first violated
     constraint of the graph or None when all hold; and ``children(g,
-    bad)``, the ordered ``(op, ref)`` repairs that hit every way to fix
+    bad)``, the ordered ``(op, ref)`` deletions that hit every way to fix
     ``bad``."""
 
     def __init__(self, cs):
@@ -237,28 +225,16 @@ class _Strategy:
         """A vertex that every solution deletes, or None."""
         return None
 
-    def watch(self, g: _WorkGraph, change: Optional[tuple]) -> Callable:
-        """Update for ``change``; the function that puts the sets back."""
-        log: list = []
-        self.update(g, change, log)
 
-        def unwatch():
-            for s, added, dropped in reversed(log):
-                s -= added
-                s |= dropped
-
-        return unwatch
-
-
-def _sync(s: set, scope: Iterable, bad: set, log: list) -> None:
+def _sync(s: set, scope: Iterable, bad: set, trail: list) -> None:
     """Make ``s`` hold exactly ``bad`` within ``scope``, a superset of
-    ``bad``, and log what was added and dropped."""
+    ``bad``, and push what was added and dropped onto ``trail``."""
     dropped = s.intersection(scope) - bad
     added = bad - s
     if added or dropped:
         s -= dropped
         s |= added
-        log.append((s, added, dropped))
+        trail.append((s, added, dropped))
 
 
 def _search(inst: ProblemInstance, strategy: _Strategy) -> SolveReport:
@@ -270,51 +246,41 @@ def _search(inst: ProblemInstance, strategy: _Strategy) -> SolveReport:
                          "within {vdel, edel}")
     allow_v = VDEL in inst.ops
     allow_e = EDEL in inst.ops
-    g = _WorkGraph(inst.graph, strategy.watch)
+    g = _WorkGraph(inst.graph, strategy.update)
     nodes = 0
     hit: Optional[tuple] = None
 
-    def recurse(k: int, pending: frozenset, steps: tuple) -> bool:
+    def recurse(k: int, steps: tuple) -> bool:
+        """Search from the current graph; the caller undoes what this node
+        and its forced deletions leave on the trail."""
         nonlocal nodes, hit
         nodes += 1
         if k < 0:
             return False
-        log = []  # this node's forced edits, undone when it returns
-        try:
-            while (x := strategy.doomed()) is not None:
-                state = _edit(VDEL, x, g, k, pending, steps) if allow_v else None
-                if state is None:
-                    return False
-                rec, k, pending, steps = state
-                log.append(rec)
-            bad = strategy.violation()
-            if bad is None:
-                if not pending:
-                    hit = steps
-                    return True
-                # forced: keep reducing the least pending edge
-                state = _edit(_REDUCE, min(pending), g, k, pending, steps)
-                if state is None:
-                    return False
-                log.append(state[0])
-                return recurse(*state[1:])
-            if k <= 0:
+        while (x := strategy.doomed()) is not None:
+            state = _edit(VDEL, x, g, k, steps) if allow_v else None
+            if state is None:
                 return False
-            for op, ref in strategy.children(g, bad):
-                if not (allow_v if op == VDEL else allow_e):
-                    continue
-                state = _edit(op, ref, g, k, pending, steps)
-                if state is not None:
-                    found = recurse(*state[1:])
-                    g.undo(state[0])
-                    if found:
-                        return True
+            k, steps = state
+        bad = strategy.violation()
+        if bad is None:
+            hit = steps
+            return True
+        if k <= 0:
             return False
-        finally:
-            for rec in reversed(log):
-                g.undo(rec)
+        mark = len(g.trail)
+        for op, ref in strategy.children(g, bad):
+            if not (allow_v if op == VDEL else allow_e):
+                continue
+            state = _edit(op, ref, g, k, steps)
+            if state is not None:
+                found = recurse(*state)
+                g.undo_to(mark)
+                if found:
+                    return True
+        return False
 
-    answer = recurse(inst.k, frozenset(), ())
+    answer = recurse(inst.k, ())
     witness = EditScript.build(inst.graph, canonical_steps(hit)) if answer else None
     bound = tr(strategy.factor(inst.constraints.r, allow_e), max(inst.k, 0))
     return SolveReport(answer, witness, nodes, bound)
@@ -325,8 +291,9 @@ def _search(inst: ProblemInstance, strategy: _Strategy) -> SolveReport:
 
 class _Wedce(_Strategy):
     """Five-step branching on the least edge whose edge degree leaves its
-    list: delete either endpoint, delete the edge, or cut into the weight
-    around it until what survives pins the edge degree above its target."""
+    list: delete either endpoint, the edge, or one of the neighbours or
+    whole edges around it, chosen so that if none of them goes, what
+    survives pins the edge degree above its target."""
 
     def __init__(self, cs):
         super().__init__(cs)
@@ -336,11 +303,11 @@ class _Wedce(_Strategy):
     def factor(r: int, edel: bool) -> int:
         return 2 * r + 5 if edel else r + 3
 
-    def update(self, g: _WorkGraph, change, log: list) -> None:
+    def update(self, g: _WorkGraph, change) -> None:
         wd, delta = g.wd, self.cs.delta_e
         near = g.incident(g.touched(change))
         bad = {e for e in near if wd[e[0]] + wd[e[1]] not in delta[e]}
-        _sync(self.off, near.union(g.gone(change)), bad, log)
+        _sync(self.off, near.union(g.gone(change)), bad, g.trail)
 
     def violation(self):
         return min(self.off, default=None)
@@ -374,7 +341,7 @@ class _Wedce(_Strategy):
                 e for x in others for e in (edge_key(x, u), edge_key(x, v))
                 if e in g.ew
             )
-        return out + [(VDEL, x) for x in m_sel] + [(_REDUCE, e) for e in chosen]
+        return out + [(VDEL, x) for x in m_sel] + [(EDEL, e) for e in chosen]
 
 
 def solve_wedce_bst(inst: ProblemInstance) -> SolveReport:
@@ -391,7 +358,10 @@ class _Were(_Strategy):
     """Vertices whose weighted degree sits below their entire delta list
     are doomed (degrees cannot grow, so they can only be deleted); then the
     least violator — a degree violation if any, else an edge violating nu —
-    drives the branch."""
+    drives the branch.  A degree violator branches on deleting itself, or
+    a neighbour or the whole edge to it, over neighbours enough to pin its
+    degree above its target; an edge violating nu on deleting either end,
+    the edge, or one of t+1 common neighbours or an edge to one."""
 
     def __init__(self, cs):
         super().__init__(cs)
@@ -403,15 +373,15 @@ class _Were(_Strategy):
     def factor(r: int, edel: bool) -> int:
         return 3 * r + 6 if edel else r + 3
 
-    def update(self, g: _WorkGraph, change, log: list) -> None:
+    def update(self, g: _WorkGraph, change) -> None:
         cs, wd, adj = self.cs, g.wd, g.adj
         touched = g.touched(change)
         here = [(v, cs.delta_of_vertex(v)) for v in touched if v in wd]
-        _sync(self.low, touched, {v for v, dv in here if wd[v] < min(dv)}, log)
-        _sync(self.off, touched, {v for v, dv in here if wd[v] not in dv}, log)
+        _sync(self.low, touched, {v for v, dv in here if wd[v] < min(dv)}, g.trail)
+        _sync(self.off, touched, {v for v, dv in here if wd[v] not in dv}, g.trail)
         near = g.rewired(change)
         bad = {(a, b) for (a, b) in near if len(adj[a] & adj[b]) not in cs.nu_of(a, b)}
-        _sync(self.bad_nu, {*near, *g.gone(change)}, bad, log)
+        _sync(self.bad_nu, {*near, *g.gone(change)}, bad, g.trail)
 
     def doomed(self):
         return min(self.low, default=None)
@@ -434,7 +404,7 @@ class _Were(_Strategy):
             for x in sorted(g.adj[v]):
                 if guarantee >= t + 1:
                     break
-                out += [(VDEL, x), (_REDUCE, edge_key(v, x))]
+                out += [(VDEL, x), (EDEL, edge_key(v, x))]
                 guarantee += g.weight(v, x)
             return out
         a, b = bad

@@ -290,8 +290,8 @@ class TestDispatcher:
 
 def _pinned_instances():
     """Seeded WEDCE and WERE instances over every deletion ops set, with edge
-    weights up to 3 and lists of two to four values, so that partial
-    reductions and the forced completion of pending edges both occur."""
+    weights up to 3 and lists of two to four values, so that branches delete
+    heavy edges whole and WERE deletes doomed vertices."""
     rng = random.Random(8)
     for kind in (WEDCE, WERE):
         for ops in ({VDEL}, {EDEL}, {VDEL, EDEL}):
@@ -313,11 +313,12 @@ def _pinned_instances():
 
 
 class TestPinnedNodeCounts:
-    # Recorded from the two hand-written search trees that the shared engine
-    # replaced; the branching order is fixed, so any change here is a change
-    # in which children are tried or in how nodes are counted.
-    NODES = [18, 4, 5, 5, 3, 5, 3, 42, 3, 2, 23, 11, 3, 42, 36, 276, 2, 6,
-             7, 3, 27, 4, 3, 2, 9, 1, 3, 23, 168, 34, 39, 5, 30, 8, 3, 18]
+    # Recorded when weight-cutting branches became whole edge deletions
+    # (each count at or below the earlier one-unit reductions', answers and
+    # witnesses unchanged); the branching order is fixed, so any change here
+    # is a change in which children are tried or in how nodes are counted.
+    NODES = [18, 4, 5, 5, 3, 5, 1, 9, 1, 2, 4, 4, 3, 28, 16, 87, 2, 5,
+             7, 3, 27, 4, 3, 2, 4, 1, 3, 3, 6, 7, 15, 3, 11, 5, 3, 7]
     ANSWERS = "NNNYNYNNNNNNYYNNNYNNNNYYYNYNNNNNNNYN"
 
     WITNESSES = {
@@ -459,58 +460,69 @@ class TestWorkGraphUndo:
         assert (strategy.doomed(), strategy.violation()) == (doomed, bad)
 
     def test_seeded_walk_matches_rebuilt_graph(self):
-        # random deletions and reweightings, undone in stack order, against
-        # the same edits made on immutable graphs
+        # random vertex and edge deletions, each after a mark, undone one to
+        # three marks at a time, against the same deletions made on
+        # immutable graphs
         rng = random.Random(31)
         for inst in _pinned_instances():
             strategy = (search_tree._Wedce if inst.kind == WEDCE
                         else search_tree._Were)(inst.constraints)
-            work = search_tree._WorkGraph(inst.graph, strategy.watch)
-            history, records = [inst.graph], []
+            work = search_tree._WorkGraph(inst.graph, strategy.update)
+            history, marks = [inst.graph], []
             self._check(inst, work, strategy, inst.graph)
             for _ in range(60):
                 g = history[-1]
-                if not g.n or (records and rng.random() < 0.4):
-                    work.undo(records.pop())
-                    history.pop()
-                elif not g.m or rng.random() < 0.3:
-                    v = rng.choice(g.vertices())
-                    records.append(work.delete_vertex(v))
-                    history.append(g.delete_vertex(v))
+                if not g.n or (marks and rng.random() < 0.4):
+                    back = rng.randint(1, min(3, len(marks)))
+                    work.undo_to(marks[-back])
+                    del marks[-back:], history[-back:]
                 else:
-                    e = rng.choice(g.edges())
-                    w = rng.randrange(g.edge_weight(*e))  # 0 deletes
-                    records.append(work.set_edge_weight(e, w))
-                    history.append(g.set_edge_weight(*e, w) if w else g.delete_edge(*e))
+                    marks.append(len(work.trail))
+                    if not g.m or rng.random() < 0.3:
+                        v = rng.choice(g.vertices())
+                        work.delete_vertex(v)
+                        history.append(g.delete_vertex(v))
+                    else:
+                        e = rng.choice(g.edges())
+                        work.delete_edge(e)
+                        history.append(g.delete_edge(*e))
                 self._check(inst, work, strategy, history[-1])
-            while records:
-                work.undo(records.pop())
+            while marks:
+                work.undo_to(marks.pop())
                 history.pop()
                 self._check(inst, work, strategy, history[-1])
 
     def test_search_undoes_in_stack_order(self, monkeypatch):
-        # a search undoes every edit: each child after it returns, a node's
-        # forced deletions and pending-edge reductions when the node exits;
-        # so each undo must bring back the graph its edit started from
-        edit, undo = search_tree._edit, search_tree._WorkGraph.undo
-        before = {}
+        # a node marks the trail before its children and undoes to the mark
+        # after each one, so every undo_to(mark) must bring back the graph
+        # and violation sets as they were when the trail last had that
+        # length: just before the child's deletion
+        cls = search_tree._WorkGraph
+        at = {}
+        undos = 0
 
         def snapshot(g):
-            return dict(g.vw), dict(g.ew), {v: set(ns) for v, ns in g.adj.items()}, dict(g.wd)
+            sets = {name: set(val) for name, val in vars(g._update.__self__).items()
+                    if isinstance(val, set)}
+            return (dict(g.vw), dict(g.ew), {v: set(ns) for v, ns in g.adj.items()},
+                    dict(g.wd), sets)
 
-        def recording_edit(op, ref, g, *rest):
-            start = snapshot(g)
-            state = edit(op, ref, g, *rest)
-            if state is not None:
-                before[id(state[0])] = state[0], start  # held: ids stay unique
-            return state
+        def recording(delete):
+            def wrapped(g, ref):
+                at[len(g.trail)] = snapshot(g)
+                delete(g, ref)
+            return wrapped
 
-        def checked_undo(g, rec):
-            undo(g, rec)
-            assert snapshot(g) == before.pop(id(rec))[1]
+        def checked_undo_to(g, mark):
+            nonlocal undos
+            undo_to(g, mark)
+            assert snapshot(g) == at[mark]
+            undos += 1
 
-        monkeypatch.setattr(search_tree, "_edit", recording_edit)
-        monkeypatch.setattr(search_tree._WorkGraph, "undo", checked_undo)
+        undo_to = cls.undo_to
+        monkeypatch.setattr(cls, "delete_vertex", recording(cls.delete_vertex))
+        monkeypatch.setattr(cls, "delete_edge", recording(cls.delete_edge))
+        monkeypatch.setattr(cls, "undo_to", checked_undo_to)
         for inst in _pinned_instances():
             solve(inst)
-            assert not before
+        assert undos > 200
