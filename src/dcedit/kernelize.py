@@ -354,8 +354,11 @@ def _covers(rule: str, inst: ProblemInstance) -> bool:
 
 def _round(inst: ProblemInstance, rules: Tuple[str, ...]):
     """The first of ``rules`` (in order) that fires on inst, as
-    ``(new_instance, TraceStep)``, or None.  Rule 1 goes first; the clean
+    ``(new_instance, TraceStep)``, or None.  A negative budget is already
+    an immediate no, so nothing fires.  Rule 1 goes first; the clean
     regions are then built once and offered to each region step."""
+    if inst.k < 0:
+        return None
     if rules[0] == "rr1":
         got = _high_degree(inst)
         if got is not None or len(rules) == 1:
@@ -433,8 +436,6 @@ def kernelize(inst: ProblemInstance):
     _require_star(inst)
     steps: List[TraceStep] = []
     for _ in range(100_000):
-        if inst.k < 0:
-            break  # already an immediate no; nothing left to shrink
         got = _round(inst, rules)
         if got is None:
             break

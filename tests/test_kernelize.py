@@ -202,6 +202,15 @@ class TestRule3:
         with pytest.raises(ValueError):
             rr3_deep_clean_wedce(inst)
 
+    def test_negative_budget_fires_nothing(self):
+        # a negative budget is an immediate no: the public rules leave it
+        # alone rather than ask a region for layer k+2 < 1
+        g = unit_path(6)
+        inst = wedce(g, {(0, 1): {0}, (1, 2): {4}, (2, 3): {4}, (3, 4): {4},
+                         (4, 5): {3}}, r=4, k=-1)
+        for rule in (rr1_high_degree, rr2_isolated_clean, rr3_deep_clean_wedce):
+            assert rule(inst) is None
+
 
 class TestRule4:
     def fixture(self):
