@@ -201,11 +201,6 @@ class WeightedGraph:
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m})"
 
-    def is_unit_weight(self) -> bool:
-        return all(w == 1 for w in self._vw.values()) and all(
-            w == 1 for w in self._ew.values()
-        )
-
 
 # -- degree measures --------------------------------------------------------
 

@@ -172,10 +172,10 @@ class ProblemInstance:
     negative result is an immediate no-instance, not an error.
     """
 
-    __slots__ = ("kind", "graph", "constraints", "ops", "k", "unit_weights", "_key")
+    __slots__ = ("kind", "graph", "constraints", "ops", "k", "_key")
 
     def __init__(self, kind: str, graph: WeightedGraph, constraints: ConstraintSet,
-                 ops: Iterable[str], k: int, unit_weights: Optional[bool] = None):
+                 ops: Iterable[str], k: int):
         if kind not in KINDS:
             raise ValueError(f"unknown problem kind {kind!r}")
         ops = frozenset(ops)
@@ -189,17 +189,11 @@ class ProblemInstance:
             isolated = [v for v in graph.vertices() if not graph.neighbors(v)]
             if isolated:
                 graph = graph.subgraph(set(graph.vertices()) - set(isolated))
-        derived_unit = graph.is_unit_weight()
-        if unit_weights is None:
-            unit_weights = derived_unit
-        elif unit_weights and not derived_unit:
-            raise ValueError("unit_weights set on a weighted graph")
         self.kind = kind
         self.graph = graph
         self.constraints = constraints
         self.ops = ops
         self.k = k
-        self.unit_weights = unit_weights
         self._key = None
 
     def replace(self, **kw) -> "ProblemInstance":

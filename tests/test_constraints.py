@@ -99,15 +99,6 @@ class TestProblemInstance:
         inst = uniform_instance(WDCE, complete(3), r=2, k=-1, ops={VDEL})
         assert inst.k == -1
 
-    def test_unit_weight_flag(self):
-        g = WeightedGraph({0: 2}, {})
-        cs = ConstraintSet(r=0, delta_v={0: {0}})
-        inst = ProblemInstance(kind=WDCE, graph=g, constraints=cs, ops={VDEL}, k=0)
-        assert inst.unit_weights is False
-        with pytest.raises(ValueError):
-            ProblemInstance(kind=WDCE, graph=g, constraints=cs, ops={VDEL},
-                            k=0, unit_weights=True)
-
 
 class TestStarViolation:
     def test_uniform_singletons_pass(self):
