@@ -498,6 +498,7 @@ class TestWorkGraphUndo:
         # and violation sets as they were when the trail last had that
         # length: just before the child's deletion
         cls = search_tree._WorkGraph
+        undo_to = cls.undo_to
         at = {}
         undos = 0
 
@@ -519,7 +520,6 @@ class TestWorkGraphUndo:
             assert snapshot(g) == at[mark]
             undos += 1
 
-        undo_to = cls.undo_to
         monkeypatch.setattr(cls, "delete_vertex", recording(cls.delete_vertex))
         monkeypatch.setattr(cls, "delete_edge", recording(cls.delete_edge))
         monkeypatch.setattr(cls, "undo_to", checked_undo_to)
