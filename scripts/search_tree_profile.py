@@ -4,7 +4,9 @@
 Generates seeded random instances per (kind, ops, r, k) cell, solves each
 with the bounded search tree, and reports how much of the worst-case node
 budget the runs actually touch.  Useful for spotting branching regressions:
-the `used%` column should stay far below 100.  `us/node` is the solve wall
+`used%` can never pass 100, and a cell reaches 100 only when an instance's
+tree is complete, as WDCE's often are at r = 1: on a NO instance every child
+of a degree violator leaves another violator.  `us/node` is the solve wall
 time per visited node in microseconds; compare it across `--n` to see how
 the cost of a node grows with the graph.
 """
@@ -15,7 +17,7 @@ import statistics
 import time
 
 from dcedit.graphs import random_graph
-from dcedit.problems import EDEL, VDEL, WEDCE, WERE, uniform_instance
+from dcedit.problems import EDEL, VDEL, WDCE, WEDCE, WERE, WSRE, uniform_instance
 from dcedit.search_tree import solve
 
 
@@ -28,9 +30,12 @@ def main():
     args = ap.parse_args()
 
     cells = [
+        (WDCE, {VDEL, EDEL}, "vdel+edel"),
+        (WDCE, {VDEL}, "vdel"),
         (WEDCE, {VDEL, EDEL}, "vdel+edel"),
         (WEDCE, {VDEL}, "vdel"),
         (WERE, {VDEL, EDEL}, "vdel+edel"),
+        (WSRE, {VDEL, EDEL}, "vdel+edel"),
     ]
     print(f"{'kind':<6} {'ops':<10} {'r':>2} {'k':>2} "
           f"{'bound':>7} {'max':>6} {'mean':>8} {'used%':>7} {'us/node':>8}")
@@ -44,8 +49,9 @@ def main():
                 for _ in range(args.trials):
                     g = random_graph(args.n, rng.uniform(0.2, 0.7),
                                      seed=rng.randrange(10 ** 6))
-                    lam = rng.randint(0, r) if kind == WERE else None
-                    inst = uniform_instance(kind, g, r, k, ops, lam=lam)
+                    lam = rng.randint(0, r) if kind in (WERE, WSRE) else None
+                    mu = rng.randint(0, r) if kind == WSRE else None
+                    inst = uniform_instance(kind, g, r, k, ops, lam=lam, mu=mu)
                     start = time.perf_counter()
                     rep = solve(inst)
                     elapsed += time.perf_counter() - start

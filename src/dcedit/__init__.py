@@ -31,7 +31,8 @@ from .problems import (
 )
 from .oracle import OracleResult, brute_force_solve, enumerate_labeled_graphs
 from .kernelize import CleanRegion, KernelTrace, find_clean_regions, kernel_bound, kernelize
-from .search_tree import SolveReport, solve, solve_wedce_bst, solve_were_bst, solve_wsre, tr
+from .search_tree import (SolveReport, solve, solve_wdce_bst, solve_wedce_bst,
+                          solve_were_bst, solve_wsre, tr)
 from .treewidth import (
     TreeDecomposition,
     greedy_decomposition,
@@ -67,6 +68,7 @@ __all__ = [
     "kernel_bound",
     "SolveReport",
     "solve",
+    "solve_wdce_bst",
     "solve_wedce_bst",
     "solve_were_bst",
     "solve_wsre",

@@ -10,6 +10,8 @@ The argument parser is built once per process, on the first ``run_cli``
 call, so in-process callers (tests, ``perfbench``) pay for it once.  argparse
 reads ``sys.stdout``/``sys.stderr`` and the terminal width when it prints,
 not when it is built, so help and usage errors are unchanged by the reuse.
+Run as a program, a warning (the oracle's envelope) prints as one
+``warning: ...`` line on stderr; ``run_cli`` callers get the ``UserWarning``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from .graphs import WeightedGraph, complete, cycle, petersen, random_graph
 from .instance_io import (
@@ -30,7 +33,7 @@ from .instance_io import (
     serialize_script,
 )
 from .kernelize import kernelize
-from .oracle import ORACLE_MAX_BUDGET, ORACLE_MAX_VERTICES, brute_force_solve
+from .oracle import brute_force_solve
 from .problems import (
     KINDS,
     WDCE,
@@ -89,7 +92,7 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _print_answer(witness: Optional[EditScript]) -> None:
+def _print_answer(witness: EditScript) -> None:
     print(f"YES cost={witness.cost}")
     sys.stdout.write(serialize_script(witness))
 
@@ -98,16 +101,7 @@ def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.file))
     rep = solve(inst)
     if rep.answer:
-        witness = rep.witness
-        if witness is None and inst.graph.n <= ORACLE_MAX_VERTICES \
-                and inst.k <= ORACLE_MAX_BUDGET:
-            witness = brute_force_solve(inst).witness
-        if witness is not None:
-            _print_answer(witness)
-        else:
-            print(f"YES cost={inst.k}")
-            print("witness unavailable: kernel rules rewrote the instance; "
-                  "the printed cost is the budget upper bound", file=sys.stderr)
+        _print_answer(rep.witness)
         code = 0
     else:
         print("NO")
@@ -230,6 +224,7 @@ def run_cli(argv: List[str]) -> int:
 
 
 def main() -> None:
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     sys.exit(run_cli(sys.argv[1:]))
 
 

@@ -1,19 +1,22 @@
 """Bounded-search-tree solvers with node accounting.
 
-One engine, ``_search``, runs the search tree for every kind it covers:
-accept when the budget is non-negative and every constraint holds, reject
-when the budget is exhausted and a violation remains, otherwise branch on
-a small hitting set of every possible repair.  A kind contributes only a
-strategy: where the first violation sits, its ordered list of repairs,
-and the branching factor that bounds that list (2r+5 for WEDCE, 3r+6 for
-WERE, r+3 for either with vertex deletion only).  WERE's strategy also
-names vertices every solution must delete; the engine removes them before
-the node branches, without counting a node.  Every branch deletes a vertex
-or a whole edge at its full weight, as a solution does, so the edits on
-the path to an accepting node are the witness.  Branch sets are chosen
-greedily so that if no branch element is deleted, the surviving weight
-around the violation pins its value above every reachable target — that
-keeps the child count within the branching factor while staying complete.
+One engine, ``_search``, decides every instance whose ops are within
+{vdel, edel}; ``solve`` runs the exhaustive oracle only for ops with eadd.
+A node accepts when the budget is non-negative and every constraint holds,
+rejects when the budget is exhausted and a violation remains, and otherwise
+branches on a small hitting set of every possible repair.  A kind adds a
+strategy: where the first violation sits, its ordered list of repairs, and
+the branching factor bounding that list, with both ops / with vdel only:
+WDCE 2r+3 / r+2 on vertex degrees; WEDCE 2r+5 / r+3 on edge degrees; WERE
+3r+6 / r+3, adding nu on edges; WSRE the same, adding xi on non-adjacent
+pairs (beyond the paper).  The vertex kinds also name doomed vertices, which
+every solution deletes; the engine deletes them before the node branches,
+without counting a node.  Every branch deletes a vertex or a whole edge at
+its full weight, as a solution does, so the edits on the path to an
+accepting node are the witness: within budget, not always the cheapest.
+Branch sets are chosen greedily so that if no branch element is deleted,
+what survives around the violation pins its value above every reachable
+target: the child count stays within the factor and the search complete.
 
 A solve edits one working graph in place, built once from the input: each
 deletion updates weights, adjacency and weighted degrees in O(deg) and
@@ -32,22 +35,17 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .graphs import WeightedGraph, edge_key
-from .kernelize import kernel_bound, kernelize
-from .oracle import (
-    ORACLE_MAX_BUDGET,
-    ORACLE_MAX_VERTICES,
-    brute_force_solve,
-)
+from .oracle import brute_force_solve
 from .problems import (
     EDEL,
     VDEL,
+    WDCE,
     WEDCE,
     WERE,
     WSRE,
     EditScript,
     ProblemInstance,
     canonical_steps,
-    star_violation,
 )
 
 
@@ -57,10 +55,6 @@ class SolveReport:
     witness: Optional[EditScript]
     nodes_visited: int
     tree_bound: Optional[int]
-
-
-class KernelTooLargeError(RuntimeError):
-    """The reduced instance exceeds the exhaustive phase's envelope."""
 
 
 def tr(b: int, k: int) -> int:
@@ -143,6 +137,19 @@ class _WorkGraph:
         u, v = ref
         return {edge_key(x, y) for y in adj[u] & adj[v] for x in ref}
 
+    def apart(self, change: Optional[tuple]) -> set:
+        """The present non-adjacent pairs whose common-neighbour count
+        ``change`` may have changed, and the pair an edge deletion parts."""
+        adj = self.adj
+        if change is None:
+            return {(a, b) for a in adj for b in adj if a < b and b not in adj[a]}
+        op, ref, saved = change
+        if op == VDEL:
+            nbrs = saved[1]
+            return {(a, b) for a in nbrs for b in nbrs if a < b and b not in adj[a]}
+        u, v = ref
+        return {edge_key(x, y) for x, o in ((u, v), (v, u)) for y in adj[o] - adj[x]} | {ref}
+
     def _set_weight(self, e: tuple, w: int) -> int:
         """Give edge ``e`` weight ``w``, where 0 means absent; the old weight."""
         u, v = e
@@ -209,7 +216,7 @@ def _edit(op: str, ref, g: _WorkGraph, k: int, steps: tuple):
 
 
 class _Strategy:
-    """The per-kind part of the search.  Subclasses supply
+    """The per-kind part of the search.  Subclasses supply ``kind``;
     ``factor(r, edel)``, the most children a node can have;
     ``update(g, change)``, which brings the strategy's violation sets up to
     date with a change to the working graph ``g`` (None: the whole graph)
@@ -222,8 +229,8 @@ class _Strategy:
         self.cs = cs
 
     def doomed(self):
-        """A vertex that every solution deletes, or None."""
-        return None
+        """The vertices that every solution deletes."""
+        return ()
 
 
 def _sync(s: set, scope: Iterable, bad: set, trail: list) -> None:
@@ -237,13 +244,16 @@ def _sync(s: set, scope: Iterable, bad: set, trail: list) -> None:
         trail.append((s, added, dropped))
 
 
-def _search(inst: ProblemInstance, strategy: _Strategy) -> SolveReport:
-    """Depth-first bounded search tree over deletions, driven by
-    ``strategy``; children are tried in the strategy's order, skipping
+def _search(inst: ProblemInstance, cls: type) -> SolveReport:
+    """Depth-first bounded search tree over deletions, driven by a strategy
+    of class ``cls``; children are tried in the strategy's order, skipping
     those whose operation ``inst.ops`` does not allow."""
+    if inst.kind != cls.kind:
+        raise ValueError(f"{cls.kind} search tree given a {inst.kind} instance")
     if not inst.ops or not inst.ops <= {VDEL, EDEL}:
         raise ValueError(f"{inst.kind} search tree covers non-empty ops "
                          "within {vdel, edel}")
+    strategy = cls(inst.constraints)
     allow_v = VDEL in inst.ops
     allow_e = EDEL in inst.ops
     g = _WorkGraph(inst.graph, strategy.update)
@@ -257,11 +267,11 @@ def _search(inst: ProblemInstance, strategy: _Strategy) -> SolveReport:
         nodes += 1
         if k < 0:
             return False
-        while (x := strategy.doomed()) is not None:
-            state = _edit(VDEL, x, g, k, steps) if allow_v else None
-            if state is None:
+        while doomed := strategy.doomed():
+            # a deletion leaves doomed vertices doomed: all of them must fit
+            if not allow_v or sum(g.vw[v] for v in doomed) > k:
                 return False
-            k, steps = state
+            k, steps = _edit(VDEL, min(doomed), g, k, steps)
         bad = strategy.violation()
         if bad is None:
             hit = steps
@@ -294,6 +304,8 @@ class _Wedce(_Strategy):
     list: delete either endpoint, the edge, or one of the neighbours or
     whole edges around it, chosen so that if none of them goes, what
     survives pins the edge degree above its target."""
+
+    kind = WEDCE
 
     def __init__(self, cs):
         super().__init__(cs)
@@ -346,71 +358,99 @@ class _Wedce(_Strategy):
 
 def solve_wedce_bst(inst: ProblemInstance) -> SolveReport:
     """Five-step branching for WEDCE with ops within {vdel, edel}."""
-    if inst.kind != WEDCE:
-        raise ValueError("solve_wedce_bst expects a WEDCE instance")
-    return _search(inst, _Wedce(inst.constraints))
+    return _search(inst, _Wedce)
 
 
-# -- WERE -------------------------------------------------------------------
+# -- WDCE, WERE and WSRE -----------------------------------------------------
 
 
-class _Were(_Strategy):
-    """Vertices whose weighted degree sits below their entire delta list
-    are doomed (degrees cannot grow, so they can only be deleted); then the
-    least violator — a degree violation if any, else an edge violating nu —
-    drives the branch.  A degree violator branches on deleting itself, or
-    a neighbour or the whole edge to it, over neighbours enough to pin its
-    degree above its target; an edge violating nu on deleting either end,
-    the edge, or one of t+1 common neighbours or an edge to one."""
+class _Wdce(_Strategy):
+    """A vertex whose weighted degree sits below its whole delta list is
+    doomed (degrees cannot grow); else the least degree violator branches on
+    deleting itself, or a neighbour or the whole edge to it, over neighbours
+    enough to pin its degree above its target t <= r: 1 + 2(t+1) children."""
+
+    kind = WDCE
 
     def __init__(self, cs):
         super().__init__(cs)
         self.low: set = set()      # doomed: degree below the whole list
         self.off: set = set()      # degree outside the list
-        self.bad_nu: set = set()   # edges whose common count leaves nu
+
+    @staticmethod
+    def factor(r: int, edel: bool) -> int:
+        return 2 * r + 3 if edel else r + 2
+
+    def update(self, g: _WorkGraph, change) -> None:
+        cs, wd = self.cs, g.wd
+        touched = g.touched(change)
+        here = [(v, cs.delta_of_vertex(v)) for v in touched if v in wd]
+        _sync(self.low, touched, {v for v, dv in here if wd[v] < min(dv)}, g.trail)
+        _sync(self.off, touched, {v for v, dv in here if wd[v] not in dv}, g.trail)
+
+    def doomed(self):
+        return self.low
+
+    def violation(self):
+        return (min(self.off),) if self.off else None
+
+    def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
+        (v,) = bad
+        t = _max_allowed_at_most(self.cs.delta_of_vertex(v), g.wd[v])
+        # t exists: degrees below the whole list were deleted as doomed
+        out: List[Tuple[str, object]] = [(VDEL, v)]
+        guarantee = 0
+        for x in sorted(g.adj[v]):
+            if guarantee >= t + 1:
+                break
+            out += [(VDEL, x), (EDEL, edge_key(v, x))]
+            guarantee += g.weight(v, x)
+        return out
+
+
+def solve_wdce_bst(inst: ProblemInstance) -> SolveReport:
+    """Degree branching for WDCE with ops within {vdel, edel}."""
+    return _search(inst, _Wdce)
+
+
+class _Were(_Wdce):
+    """WDCE's rules; with no degree violation left, the least edge violating
+    nu branches on deleting either end, the edge, or one of t+1 common
+    neighbours or an edge to one: 3 + 3(t+1) children for t <= lambda <= r."""
+
+    kind = WERE
+
+    def __init__(self, cs):
+        super().__init__(cs)
+        self.bad_pairs: set = set()   # edges leaving nu; WSRE adds non-edges leaving xi
 
     @staticmethod
     def factor(r: int, edel: bool) -> int:
         return 3 * r + 6 if edel else r + 3
 
     def update(self, g: _WorkGraph, change) -> None:
-        cs, wd, adj = self.cs, g.wd, g.adj
-        touched = g.touched(change)
-        here = [(v, cs.delta_of_vertex(v)) for v in touched if v in wd]
-        _sync(self.low, touched, {v for v, dv in here if wd[v] < min(dv)}, g.trail)
-        _sync(self.off, touched, {v for v, dv in here if wd[v] not in dv}, g.trail)
+        super().update(g, change)
+        adj, nu = g.adj, self.cs.nu_of
         near = g.rewired(change)
-        bad = {(a, b) for (a, b) in near if len(adj[a] & adj[b]) not in cs.nu_of(a, b)}
-        _sync(self.bad_nu, {*near, *g.gone(change)}, bad, g.trail)
-
-    def doomed(self):
-        return min(self.low, default=None)
+        bad = {(a, b) for (a, b) in near if len(adj[a] & adj[b]) not in nu(a, b)}
+        _sync(self.bad_pairs, {*near, *g.gone(change)}, bad, g.trail)
 
     def violation(self):
-        """``(v,)`` for the least degree violator, else ``(a, b)`` for the
-        least edge violating nu, else None."""
-        if self.off:
-            return (min(self.off),)
-        return min(self.bad_nu, default=None)
+        """As WDCE's, else the least pair in ``bad_pairs``."""
+        return super().violation() or min(self.bad_pairs, default=None)
 
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
-        out: List[Tuple[str, object]] = []
         if len(bad) == 1:
-            (v,) = bad
-            t = _max_allowed_at_most(self.cs.delta_of_vertex(v), g.wd[v])
-            # t exists: degrees below the whole list were deleted as doomed
-            out.append((VDEL, v))
-            guarantee = 0
-            for x in sorted(g.adj[v]):
-                if guarantee >= t + 1:
-                    break
-                out += [(VDEL, x), (EDEL, edge_key(v, x))]
-                guarantee += g.weight(v, x)
-            return out
+            return super().children(g, bad)
         a, b = bad
+        out: List[Tuple[str, object]] = [(VDEL, a), (VDEL, b)]
+        if b in g.adj[a]:
+            out.append((EDEL, bad))
+            allowed = self.cs.nu_of(a, b)
+        else:  # a pair violating xi (WSRE) branches alike, with no edge to delete
+            allowed = self.cs.xi_of(a, b)
         common = g.adj[a] & g.adj[b]
-        t = _max_allowed_at_most(self.cs.nu_of(a, b), len(common))
-        out += [(VDEL, a), (VDEL, b), (EDEL, edge_key(a, b))]
+        t = _max_allowed_at_most(allowed, len(common))
         if t is not None:
             # common counts are unweighted, so each survivor counts one:
             # keeping t+1 of them pins the count above every target
@@ -421,55 +461,43 @@ class _Were(_Strategy):
 
 def solve_were_bst(inst: ProblemInstance) -> SolveReport:
     """Branching solver for WERE with ops within {vdel, edel}."""
-    if inst.kind != WERE:
-        raise ValueError("solve_were_bst expects a WERE instance")
-    return _search(inst, _Were(inst.constraints))
+    return _search(inst, _Were)
 
 
-# -- WSRE: kernel + exhaustive phase ----------------------------------------
+class _Wsre(_Were):
+    """WERE's rules; a non-adjacent pair whose common count leaves xi joins
+    ``bad_pairs`` and branches like a nu edge minus the edge: 2 + 3(t+1) <=
+    3r+5 children for t <= mu <= r, 2 + (t+1) <= r+3 with vdel only."""
+
+    kind = WSRE
+
+    def update(self, g: _WorkGraph, change) -> None:
+        super().update(g, change)
+        adj, xi = g.adj, self.cs.xi_of
+        near = g.apart(change)
+        bad = {(a, b) for (a, b) in near if len(adj[a] & adj[b]) not in xi(a, b)}
+        if change is not None and change[0] == VDEL:
+            near |= {p for p in self.bad_pairs if change[1] in p}
+        _sync(self.bad_pairs, near, bad, g.trail)
 
 
 def solve_wsre(inst: ProblemInstance) -> SolveReport:
-    """Kernelize, solve the kernel exhaustively, lift the witness when the
-    trace used only deletions (rules 1 and 2); structural rewrites keep the
-    answer but drop the witness."""
-    if inst.kind != WSRE:
-        raise ValueError("solve_wsre expects a WSRE instance")
-    reduced, trace = kernelize(inst)
-    if reduced.graph.n > ORACLE_MAX_VERTICES or reduced.k > ORACLE_MAX_BUDGET:
-        raise KernelTooLargeError(
-            f"kernel too large for exact phase: n={reduced.graph.n}, "
-            f"k={reduced.k} (guaranteed bound "
-            f"{kernel_bound(inst.kind, inst.ops, max(inst.k, 0), inst.constraints.r)})"
-        )
-    res = brute_force_solve(reduced)
-    if not res.answer:
-        return SolveReport(False, None, 0, None)
-    liftable = all(s.rule in ("rr1", "rr2") for s in trace.steps)
-    witness = None
-    if liftable:
-        extra = tuple(
-            (VDEL, s.affected[0]) for s in trace.steps if s.rule == "rr1"
-        )
-        witness = EditScript.build(
-            inst.graph, canonical_steps(extra + res.witness.steps)
-        )
-    return SolveReport(True, witness, 0, None)
+    """Branching solver for WSRE with ops within {vdel, edel}."""
+    return _search(inst, _Wsre)
 
 
 # -- dispatch ---------------------------------------------------------------
 
 
 def solve(inst: ProblemInstance) -> SolveReport:
-    """Best available solver for the instance; exhaustive search where no
-    dedicated algorithm exists (vertex-degree lists, or any ops with eadd)."""
-    in_del_ops = inst.ops <= {VDEL, EDEL}
-    if inst.kind == WEDCE and in_del_ops:
-        return solve_wedce_bst(inst)
-    if inst.kind == WERE and in_del_ops:
-        return solve_were_bst(inst)
-    if inst.kind == WSRE and VDEL in inst.ops and in_del_ops:
-        if star_violation(inst) is None:
-            return solve_wsre(inst)
+    """Ops within {vdel, edel}: the search tree of ``inst``'s kind, with its
+    nodes and ``tr`` ceiling, factor 2r+3 (WDCE), 2r+5 (WEDCE) or 3r+6 (WERE,
+    WSRE), r+2 or r+3 with vdel only.  Ops with eadd: the exhaustive oracle,
+    with no nodes and no bound."""
+    if inst.ops <= {VDEL, EDEL}:
+        # looked up per call, so a rebound module global is the one that runs
+        entry = {WDCE: solve_wdce_bst, WEDCE: solve_wedce_bst,
+                 WERE: solve_were_bst, WSRE: solve_wsre}
+        return entry[inst.kind](inst)
     res = brute_force_solve(inst)
     return SolveReport(res.answer, res.witness, 0, None)

@@ -23,7 +23,7 @@ from dcedit.oracle import (
     induced_regular_bruteforce,
     regular_subgraph_bruteforce,
 )
-from dcedit.problems import EDEL, VDEL, WEDCE, WERE, WSRE, check_constraints
+from dcedit.problems import EDEL, VDEL, WDCE, WEDCE, WERE, WSRE, check_constraints
 from dcedit.search_tree import solve, tr
 from dcedit.treewidth import (
     greedy_decomposition,
@@ -51,12 +51,14 @@ def five_vertex_sweep():
         for r in (1, 2, 3):
             for k in range(4):
                 rows = [
+                    (WDCE, BOTH, None, None, tr(2 * r + 3, k)),
+                    (WDCE, ONLY_V, None, None, tr(r + 2, k)),
                     (WEDCE, BOTH, None, None, tr(2 * r + 5, k)),
                     (WEDCE, ONLY_V, None, None, tr(r + 3, k)),
                 ]
                 rows += [(WERE, BOTH, lam, None, tr(3 * r + 6, k))
                          for lam in range(r + 1)]
-                rows += [(WSRE, BOTH, lam, mu, None)
+                rows += [(WSRE, BOTH, lam, mu, tr(3 * r + 6, k))
                          for lam in range(r + 1) for mu in range(r + 1)]
                 for kind, ops, lam, mu, bound in rows:
                     inst = uniform_instance(kind, g, r=r, k=k, ops=ops,
@@ -64,9 +66,7 @@ def five_vertex_sweep():
                     rep = solve(inst)
                     if rep.answer != brute_force_solve(inst).answer:
                         wrong_answer.append((gi, kind, sorted(ops), r, lam, mu, k))
-                    if bound is not None and not (
-                            rep.tree_bound == bound
-                            and rep.nodes_visited <= bound):
+                    if not (rep.tree_bound == bound and rep.nodes_visited <= bound):
                         over_budget.append((gi, kind, sorted(ops), r, k,
                                             rep.nodes_visited, bound))
     return wrong_answer, over_budget

@@ -350,6 +350,22 @@ def test_module_entry_point(tmp_path):
     assert (verified.returncode, verified.stdout) == (0, "OK cost=0\n")
 
 
+def test_oracle_warning_is_one_stable_line(tmp_path, capsys):
+    """Run as a program, the oracle's envelope warning is one stderr line
+    without a source path or line; in-process callers get a UserWarning."""
+    gen = fresh_cli("gen", "gnp", "12", "0.3", "--ops", "vdel,eadd", "--k", "0")
+    path = tmp_path / "g12.wdce"
+    path.write_text(gen.stdout)
+    line = ("warning: oracle envelope exceeded (n=12, k=0); "
+            "this may take a very long time\n")
+    for command in ("solve", "oracle"):
+        out = fresh_cli(command, str(path))
+        assert (out.returncode, out.stdout, out.stderr) == (0, "YES cost=0\n", line)
+    with pytest.warns(UserWarning, match="oracle envelope exceeded"):
+        assert run_cli(["solve", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_byte_determinism_across_pipeline(tmp_path, capsys):
     """gen -> solve -> kernelize reruns are byte-identical."""
     argv = ["gen", "gnp", "5", "0.6", "--kind", "WEDCE", "--ops",

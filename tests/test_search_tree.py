@@ -1,4 +1,5 @@
 import random
+from importlib import import_module
 
 import pytest
 
@@ -25,15 +26,18 @@ from dcedit.problems import (
 )
 from dcedit import search_tree
 from dcedit.search_tree import (
-    KernelTooLargeError,
     solve,
+    solve_wdce_bst,
     solve_wedce_bst,
     solve_were_bst,
     solve_wsre,
     tr,
 )
 
-from conftest import exact_instance, uniform_instance
+from conftest import exact_instance, uniform_instance, weighted_instance
+
+# the package's ``kernelize`` attribute is the function
+kernelize_module = import_module("dcedit.kernelize")
 
 
 class TestTreeSize:
@@ -100,6 +104,41 @@ class TestWedceBst:
         assert rep.witness.cost == 2
 
 
+class TestWdceBst:
+    def test_star_needs_two_leaf_deletions(self, k13):
+        # leaves sit at 1, the centre at 3 against delta={1}; cutting edges
+        # or the centre strands a leaf at 0
+        inst = uniform_instance(WDCE, k13, r=1, k=2, ops={VDEL, EDEL})
+        rep = solve_wdce_bst(inst)
+        assert rep.answer and rep.witness.steps == (("vdel", 0), ("vdel", 1))
+        assert rep.nodes_visited <= rep.tree_bound == tr(2 * 1 + 3, 2)
+        rep = solve_wdce_bst(inst.replace(ops={VDEL}, k=1))
+        assert not rep.answer
+        assert rep.nodes_visited <= rep.tree_bound == tr(1 + 2, 1)
+
+    def test_underweight_vertex_forced_out(self, c5):
+        g = c5.add_vertex(5)
+        cs = ConstraintSet(r=2, delta_v={v: {2} for v in range(6)})
+        inst = ProblemInstance(WDCE, g, cs, {VDEL, EDEL}, 1)
+        rep = solve_wdce_bst(inst)
+        assert rep.answer and rep.witness.steps == (("vdel", 5),)
+        assert rep.nodes_visited == 1
+        assert not solve_wdce_bst(inst.replace(ops={EDEL})).answer
+
+    def test_roadmap_case_answers_no_within_bound(self):
+        # the oracle was killed after 300 s on this instance
+        inst = uniform_instance(WDCE, random_graph(20, .3, seed=1), r=2, k=4,
+                                ops={VDEL, EDEL})
+        rep = solve(inst)
+        assert not rep.answer
+        assert rep.tree_bound == tr(7, 4)
+        assert rep.nodes_visited <= rep.tree_bound
+
+    def test_wrong_kind(self, c5):
+        with pytest.raises(ValueError):
+            solve_wdce_bst(uniform_instance(WERE, c5, r=2, k=1, ops={VDEL}, lam=0))
+
+
 class TestWereBst:
     def test_c5_is_already_edge_regular(self, c5):
         inst = uniform_instance(WERE, c5, r=2, k=0, ops={VDEL, EDEL}, lam=0)
@@ -156,9 +195,9 @@ class TestWsre:
                                 lam=0, mu=1)
         assert solve_wsre(inst).answer == brute_force_solve(inst).answer
 
-    def test_witness_withheld_after_region_rewrites(self):
-        # pendant 6 must go; the clean path 1..5 behind the violating vertex
-        # 0 gets shrunk by the region rules, so no witness can be lifted
+    def test_witness_after_region_rewrites(self):
+        # pendant 6 must go; kernelize would shrink the clean path 1..5
+        # behind the violating vertex 0, but the tree edits the input itself
         g = WeightedGraph({v: 1 for v in range(7)},
                           {(i, i + 1): 1 for i in range(5)} | {(0, 6): 1})
         xi = {}
@@ -175,12 +214,13 @@ class TestWsre:
         _, trace = kernelize(inst)
         assert any(s.rule == "rr6" for s in trace.steps)
         rep = solve_wsre(inst)
-        assert rep.answer and rep.witness is None
+        assert rep.answer and rep.witness.steps == (("vdel", 6),)
+        assert check_constraints(inst, apply_edit_script(g, rep.witness))
         assert brute_force_solve(inst).answer
 
-    def test_oversized_kernel_rejected(self, pete):
+    def test_two_petersens_answer_no(self, pete):
         # two disjoint Petersen copies with xi pinned wrong: nothing is
-        # clean, nothing reduces, and 20 vertices exceed the exact phase
+        # clean, nothing reduces, and 20 vertices exceed the oracle
         verts = {v: 1 for v in range(20)}
         edges = {}
         for (a, b) in pete.edges():
@@ -189,13 +229,27 @@ class TestWsre:
         g = WeightedGraph(verts, edges)
         inst = uniform_instance(WSRE, g, r=3, k=1, ops={VDEL, EDEL},
                                 lam=0, mu=0)
-        with pytest.raises(KernelTooLargeError, match="kernel too large"):
-            solve_wsre(inst)
+        rep = solve_wsre(inst)
+        assert not rep.answer
+        assert rep.tree_bound == tr(15, 1)
+        assert rep.nodes_visited <= rep.tree_bound
 
-    def test_requires_vdel(self, c5):
-        inst = uniform_instance(WSRE, c5, r=2, k=1, ops={EDEL}, lam=0, mu=1)
-        with pytest.raises(ValueError):
-            solve_wsre(inst)
+    def test_edge_deletion_only(self, c5):
+        for k in (0, 1, 2):
+            for g in (c5, c5.add_edge(0, 2)):
+                inst = uniform_instance(WSRE, g, r=2, k=k, ops={EDEL},
+                                        lam=0, mu=1)
+                rep = solve(inst)
+                assert rep.tree_bound == tr(12, k)
+                assert rep.answer == brute_force_solve(inst).answer
+
+    def test_roadmap_case_answers_no(self):
+        # kernelize left n=14 here, so solve used to raise
+        inst = uniform_instance(WSRE, random_graph(14, .25, seed=5), r=3, k=2,
+                                ops={VDEL, EDEL}, lam=0, mu=1)
+        rep = solve(inst)
+        assert not rep.answer
+        assert rep.nodes_visited <= rep.tree_bound == tr(15, 2)
 
 
 class TestDispatcher:
@@ -205,11 +259,12 @@ class TestDispatcher:
         rep = solve(uniform_instance(WERE, c5, r=2, k=1, ops={VDEL}, lam=0))
         assert rep.tree_bound == tr(5, 1)
 
-    def test_wdce_falls_back_to_oracle(self, c5):
+    def test_wdce_reports_bound(self, c5):
         inst = uniform_instance(WDCE, c5, r=2, k=1, ops={VDEL, EDEL})
         rep = solve(inst)
-        assert rep.answer and rep.nodes_visited == 0
-        assert rep.tree_bound is None
+        assert rep.answer == brute_force_solve(inst).answer
+        assert rep.answer and rep.nodes_visited == 1
+        assert rep.tree_bound == tr(7, 1)
 
     def test_eadd_falls_back_to_oracle(self):
         g = WeightedGraph({0: 1, 1: 1}, {})
@@ -218,26 +273,28 @@ class TestDispatcher:
         assert rep.answer and rep.witness.steps == (("eadd", 0, 1),)
         assert rep.tree_bound is None
 
-    def test_wide_lists_fall_back_to_oracle(self, c5):
+    def test_wide_lists_report_bound(self, c5):
         cs = ConstraintSet(r=3, lam=1, mu=1,
                            delta_v={v: {2, 3} for v in range(5)})
         inst = ProblemInstance(WSRE, c5, cs, {VDEL}, 1)
         rep = solve(inst)
-        assert rep.tree_bound is None
+        assert rep.tree_bound == tr(6, 1)
+        assert rep.nodes_visited <= rep.tree_bound
         assert rep.answer == brute_force_solve(inst).answer
 
-    def test_kernelize_errors_propagate(self, c5, monkeypatch):
-        # a *-variant WSRE instance goes to the kernel route; an error raised
-        # there is a fault, not a signal to fall back to the oracle
-        inst = uniform_instance(WSRE, c5, r=2, k=1, ops={VDEL, EDEL},
-                                lam=0, mu=1)
-
+    def test_solve_does_not_kernelize(self, c5, monkeypatch):
+        # every deletion-only kind runs its search tree on the input as given
         def broken(_inst):
             raise ValueError("kernelize failed")
 
-        monkeypatch.setattr(search_tree, "kernelize", broken)
-        with pytest.raises(ValueError, match="kernelize failed"):
-            solve(inst)
+        monkeypatch.setattr(kernelize_module, "kernelize", broken)
+        monkeypatch.setattr(search_tree, "kernelize", broken, raising=False)
+        for kind in (WDCE, WEDCE, WERE, WSRE):
+            inst = uniform_instance(kind, c5.add_edge(0, 2), r=2, k=1,
+                                    ops={VDEL, EDEL}, lam=0, mu=1)
+            rep = solve(inst)
+            assert rep.tree_bound is not None
+            assert rep.answer == brute_force_solve(inst).answer
 
     def test_agreement_sweep(self):
         rng = random.Random(99)
@@ -259,24 +316,29 @@ class TestDispatcher:
 
     def test_weighted_agreement_sweep(self):
         # weighted graphs and lists of one to four arbitrary values, over
-        # every deletion ops set: the trees must match the oracle
+        # every kind and deletion ops set: the trees must match the oracle
         rng = random.Random(2015)
         for _ in range(400):
             g = random_graph(rng.randint(3, 7), rng.choice([0.4, 0.6]),
                              seed=rng.randrange(10 ** 6))
             g = WeightedGraph({v: rng.randint(1, 3) for v in g.vertices()},
                               {e: rng.randint(1, 4) for e in g.edges()})
-            kind = rng.choice([WEDCE, WERE])
+            kind = rng.choice([WDCE, WEDCE, WERE, WSRE])
             r = rng.randint(2, 8)
 
-            def some():
-                return set(rng.sample(range(r + 1), rng.randint(1, min(4, r + 1))))
+            def some(hi=r):
+                return set(rng.sample(range(hi + 1), rng.randint(1, min(4, hi + 1))))
 
             if kind == WEDCE:
                 cs = ConstraintSet(r=r, delta_e={e: some() for e in g.edges()})
-            else:
-                cs = ConstraintSet(r=r, lam=rng.randint(0, min(r, 2)),
+            elif kind == WSRE:
+                lam, mu = rng.randint(0, min(r, 2)), rng.randint(0, min(r, 3))
+                cs = ConstraintSet(r=r, lam=lam, mu=mu, nu_default=some(lam),
+                                   xi_default=some(mu),
                                    delta_v={v: some() for v in g.vertices()})
+            else:
+                lam = rng.randint(0, min(r, 2)) if kind == WERE else None
+                cs = ConstraintSet(r=r, lam=lam, delta_v={v: some() for v in g.vertices()})
             ops = rng.choice([{VDEL}, {EDEL}, {VDEL, EDEL}])
             inst = ProblemInstance(kind, g, cs, ops, rng.randint(0, 5))
             rep = solve(inst)
@@ -286,6 +348,7 @@ class TestDispatcher:
                 edited = apply_edit_script(inst.graph, rep.witness)
                 assert check_constraints(inst, edited)
                 assert rep.witness.cost <= inst.k
+                assert {step[0] for step in rep.witness.steps} <= inst.ops
 
 
 def _pinned_instances():
@@ -367,6 +430,8 @@ def _planted(kind, ops, n, k, budget, seed):
     new = exact_instance(kind, g, 0, ops).constraints
     if kind == WEDCE:
         cs = ConstraintSet(r=max(old.r, new.r), delta_e={**new.delta_e, **old.delta_e})
+    elif kind == WDCE:
+        cs = ConstraintSet(r=max(old.r, new.r), delta_v={**new.delta_v, **old.delta_v})
     else:
         cs = ConstraintSet(r=max(old.r, new.r), lam=max(old.lam, new.lam),
                            delta_v={**new.delta_v, **old.delta_v},
@@ -385,6 +450,10 @@ PLANTED = [
     (WERE, {VDEL, EDEL}, 120, 3, "short", 1),
     (WERE, {VDEL}, 30, 3, "short", 2),
     (WERE, {VDEL}, 120, 3, "yes", 0),
+    (WDCE, {VDEL, EDEL}, 30, 3, "yes", 1),
+    (WDCE, {VDEL, EDEL}, 60, 3, "short", 1),
+    (WDCE, {VDEL, EDEL}, 120, 3, "yes", 2),
+    (WDCE, {VDEL}, 120, 3, "short", 0),
 ]
 
 
@@ -401,13 +470,21 @@ class TestPinnedPlanted:
         (42, None),
         (16, None),
         (21, (("vdel", 120), ("vdel", 121), ("vdel", 122))),
+        # WDCE, recorded when its search tree was added
+        (24, (("vdel", 15), ("vdel", 30), ("edel", 12, 20))),
+        (13, None),
+        (41, (("vdel", 120), ("edel", 46, 106), ("edel", 85, 103))),
+        (13, None),
     ]
 
     def test_exact_nodes_and_witnesses(self):
         got = []
         for spec in PLANTED:
-            rep = solve(_planted(*spec))
+            inst = _planted(*spec)
+            rep = solve(inst)
             assert rep.answer == (rep.witness is not None)
+            if rep.answer:
+                assert check_constraints(inst, apply_edit_script(inst.graph, rep.witness))
             got.append((rep.nodes_visited, rep.witness and rep.witness.steps))
         assert got == self.EXPECTED
 
@@ -431,8 +508,8 @@ class TestPinnedPlanted:
 
 def _full_scan(inst, g):
     """The strategy's view of ``g`` from scratch: its violation sets by
-    attribute name, the least doomed vertex (WERE only), and the first
-    violation in sorted order, as the search defines it."""
+    attribute name, the least doomed vertex (vertex kinds only), and the
+    first violation in sorted order, as the search defines it."""
     cs = inst.constraints
     wd = {v: weighted_degree(g, v) for v in g.vertices()}
     if inst.kind == WEDCE:
@@ -440,11 +517,22 @@ def _full_scan(inst, g):
         return {"off": set(off)}, None, next(iter(off), None)
     low = [v for v in g.vertices() if wd[v] < min(cs.delta_of_vertex(v))]
     off = [v for v in g.vertices() if wd[v] not in cs.delta_of_vertex(v)]
-    bad_nu = [(a, b) for (a, b) in g.edges()
-              if common_neighbor_count(g, a, b) not in cs.nu_of(a, b)]
-    bad = (off[0],) if off else next(iter(bad_nu), None)
-    return ({"low": set(low), "off": set(off), "bad_nu": set(bad_nu)},
-            next(iter(low), None), bad)
+    sets = {"low": set(low), "off": set(off)}
+    if inst.kind in (WERE, WSRE):
+        sets["bad_pairs"] = {(a, b) for (a, b) in g.edges()
+                             if common_neighbor_count(g, a, b) not in cs.nu_of(a, b)}
+    if inst.kind == WSRE:
+        sets["bad_pairs"] |= {(a, b) for (a, b) in g.non_adjacent_pairs()
+                              if common_neighbor_count(g, a, b) not in cs.xi_of(a, b)}
+    bad = [(v,) for v in off] + sorted(sets.get("bad_pairs", ()))
+    return sets, next(iter(low), None), next(iter(bad), None)
+
+
+def _weighted_wdce_wsre():
+    """Seeded weighted WDCE and WSRE instances under vdel and edel, with
+    stored xi lists and narrowed nu/xi defaults."""
+    return [weighted_instance(kind, seed).replace(ops={VDEL, EDEL})
+            for kind in (WDCE, WSRE) for seed in range(12)]
 
 
 class TestWorkGraphUndo:
@@ -457,16 +545,17 @@ class TestWorkGraphUndo:
         sets, doomed, bad = _full_scan(inst, g)
         assert {name: val for name, val in vars(strategy).items()
                 if isinstance(val, set)} == sets
-        assert (strategy.doomed(), strategy.violation()) == (doomed, bad)
+        assert (min(strategy.doomed(), default=None), strategy.violation()) == (doomed, bad)
 
     def test_seeded_walk_matches_rebuilt_graph(self):
         # random vertex and edge deletions, each after a mark, undone one to
         # three marks at a time, against the same deletions made on
         # immutable graphs
         rng = random.Random(31)
-        for inst in _pinned_instances():
-            strategy = (search_tree._Wedce if inst.kind == WEDCE
-                        else search_tree._Were)(inst.constraints)
+        strategies = {WDCE: search_tree._Wdce, WEDCE: search_tree._Wedce,
+                      WERE: search_tree._Were, WSRE: search_tree._Wsre}
+        for inst in [*_pinned_instances(), *_weighted_wdce_wsre()]:
+            strategy = strategies[inst.kind](inst.constraints)
             work = search_tree._WorkGraph(inst.graph, strategy.update)
             history, marks = [inst.graph], []
             self._check(inst, work, strategy, inst.graph)
@@ -523,6 +612,6 @@ class TestWorkGraphUndo:
         monkeypatch.setattr(cls, "delete_vertex", recording(cls.delete_vertex))
         monkeypatch.setattr(cls, "delete_edge", recording(cls.delete_edge))
         monkeypatch.setattr(cls, "undo_to", checked_undo_to)
-        for inst in _pinned_instances():
+        for inst in [*_pinned_instances(), *_weighted_wdce_wsre()]:
             solve(inst)
         assert undos > 200
