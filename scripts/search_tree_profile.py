@@ -8,7 +8,10 @@ budget the runs actually touch.  Useful for spotting branching regressions:
 tree is complete, as WDCE's often are at r = 1: on a NO instance every child
 of a degree violator leaves another violator.  `us/node` is the solve wall
 time per visited node in microseconds; compare it across `--n` to see how
-the cost of a node grows with the graph.
+the cost of a node grows with the graph.  It averages in the leaves that
+the search decides without an edit (a leaf that spends the budget while a
+violation lies beyond its deletion's reach), so it is not the cost of an
+edited node.
 """
 
 import argparse

@@ -333,37 +333,56 @@ class EditScript:
     @classmethod
     def build(cls, g: WeightedGraph, steps: Iterable[tuple]) -> "EditScript":
         """Validate ``steps`` against ``g`` and price them."""
-        _, cost = _apply_steps(g, tuple(steps))
-        return cls(tuple(steps), cost)
+        steps = tuple(steps)
+        return cls(steps, _apply_steps(g, steps)[2])
 
     def __iter__(self):
         return iter(self.steps)
 
 
 def _apply_steps(g: WeightedGraph, steps: Tuple[tuple, ...]):
+    """Replay ``steps`` on copies of ``g``'s weight and adjacency maps;
+    return the edited vertex weights, edge weights and the total cost."""
+    vw = dict(g.vertex_weights())
+    ew = dict(g.edge_weights())
+    adj = {v: set(ns) for v, ns in g.adjacency().items()}
     cost = 0
     for i, step in enumerate(steps):
         op = step[0]
         try:
             if op == VDEL:
                 v = step[1]
-                cost += g.vertex_weight(v)
-                g = g.delete_vertex(v)
+                if v not in vw:
+                    raise KeyError(f"no vertex {v!r}")
+                cost += vw.pop(v)
+                for y in adj.pop(v):
+                    del ew[edge_key(v, y)]
+                    adj[y].discard(v)
             elif op == EDEL:
-                u, v = step[1], step[2]
-                cost += g.edge_weight(u, v)
-                g = g.delete_edge(u, v)
+                e = edge_key(step[1], step[2])
+                if e not in ew:
+                    raise KeyError(f"no edge {e!r}")
+                cost += ew.pop(e)
+                adj[e[0]].discard(e[1])
+                adj[e[1]].discard(e[0])
             elif op == EADD:
                 u, v = step[1], step[2]
-                if not (g.has_vertex(u) and g.has_vertex(v)):
+                if u not in vw or v not in vw:
                     raise KeyError("endpoint missing")
-                g = g.add_edge(u, v, 1)
+                e = edge_key(u, v)
+                if e in ew:
+                    raise ValueError(f"edge {e!r} already present")
+                if u == v:
+                    raise ValueError(f"self-loop at {u!r}")
+                ew[e] = 1
+                adj[u].add(v)
+                adj[v].add(u)
                 cost += 1
             else:
                 raise ValueError(f"unknown operation {op!r}")
         except (KeyError, ValueError) as exc:
             raise ValueError(f"illegal edit at step {i} ({step!r}): {exc}") from None
-    return g, cost
+    return vw, ew, cost
 
 
 def apply_edit_script(g: WeightedGraph, script) -> WeightedGraph:
@@ -373,14 +392,14 @@ def apply_edit_script(g: WeightedGraph, script) -> WeightedGraph:
     ValueError naming the offending index.
     """
     steps = tuple(script.steps if isinstance(script, EditScript) else script)
-    edited, cost = _apply_steps(g, steps)
+    vw, ew, cost = _apply_steps(g, steps)
     if isinstance(script, EditScript) and cost != script.cost:
         raise ValueError(f"script declares cost {script.cost} but applies at {cost}")
-    return edited
+    return WeightedGraph(vw, ew)
 
 
 def script_cost(g: WeightedGraph, steps: Iterable[tuple]) -> int:
-    return _apply_steps(g, tuple(steps))[1]
+    return _apply_steps(g, tuple(steps))[2]
 
 
 # -- constraint checking ----------------------------------------------------

@@ -27,6 +27,13 @@ rather than the whole graph.  A node marks the trail's length before its
 children and pops back to the mark after each one returns, which undoes
 the child's deletion, the forced deletions below it and the set updates of
 all of them.
+
+A child whose deletion spends the whole remaining budget is a leaf, and a
+leaf accepts only if the deletion leaves no violation.  A deletion changes
+measures only within its reach: N[x] for deleting vertex x, the two ends for
+deleting an edge.  A violation with no end in the reach keeps its degree,
+edge degree and common-neighbour count, so when the strategy holds one, the
+leaf rejects: the engine counts it as a node and makes no edit.
 """
 
 from __future__ import annotations
@@ -117,6 +124,11 @@ class _WorkGraph:
         return {(x, y) if x <= y else (y, x)
                 for x in touched if x in adj for y in adj[x]}
 
+    def reach(self, op: str, ref):
+        """The vertices whose measures deleting ``ref`` can change: the
+        closed neighbourhood of a vertex, the ends of an edge."""
+        return {ref, *self.adj[ref]} if op == VDEL else ref
+
     def gone(self, change: Optional[tuple]) -> Iterable:
         """The edges ``change`` deleted."""
         if change is None:
@@ -197,22 +209,15 @@ class _WorkGraph:
 # -- the engine -------------------------------------------------------------
 
 
-def _edit(op: str, ref, g: _WorkGraph, k: int, steps: tuple):
-    """Delete ``ref`` from ``g`` in place and return ``(k, steps)`` for the
-    new state, or None, leaving ``g`` as it was, when the deletion costs
-    more than ``k``.  ``ref`` is a vertex for ``vdel`` and an edge key for
+def _edit(op: str, ref, g: _WorkGraph, steps: tuple) -> tuple:
+    """Delete ``ref`` from ``g`` in place and return the steps that reach
+    the new state.  ``ref`` is a vertex for ``vdel`` and an edge key for
     ``edel``."""
     if op == VDEL:
-        cost = g.vw[ref]
-        if cost > k:
-            return None
         g.delete_vertex(ref)
-        return k - cost, steps + ((VDEL, ref),)
-    w = g.ew[ref]
-    if w > k:
-        return None
+        return steps + ((VDEL, ref),)
     g.delete_edge(ref)
-    return k - w, steps + ((EDEL,) + ref,)
+    return steps + ((EDEL,) + ref,)
 
 
 class _Strategy:
@@ -221,9 +226,10 @@ class _Strategy:
     ``update(g, change)``, which brings the strategy's violation sets up to
     date with a change to the working graph ``g`` (None: the whole graph)
     through ``_sync``, on ``g.trail``; ``violation()``, the first violated
-    constraint of the graph or None when all hold; and ``children(g,
-    bad)``, the ordered ``(op, ref)`` deletions that hit every way to fix
-    ``bad``."""
+    constraint of the graph or None when all hold; ``children(g, bad)``,
+    the ordered ``(op, ref)`` deletions that hit every way to fix ``bad``;
+    and ``stranded(reach)``, whether some violation has no end in the
+    vertex set ``reach`` and so outlives any deletion within it."""
 
     def __init__(self, cs):
         self.cs = cs
@@ -271,7 +277,9 @@ def _search(inst: ProblemInstance, cls: type) -> SolveReport:
             # a deletion leaves doomed vertices doomed: all of them must fit
             if not allow_v or sum(g.vw[v] for v in doomed) > k:
                 return False
-            k, steps = _edit(VDEL, min(doomed), g, k, steps)
+            v = min(doomed)
+            k -= g.vw[v]
+            steps = _edit(VDEL, v, g, steps)
         bad = strategy.violation()
         if bad is None:
             hit = steps
@@ -282,12 +290,16 @@ def _search(inst: ProblemInstance, cls: type) -> SolveReport:
         for op, ref in strategy.children(g, bad):
             if not (allow_v if op == VDEL else allow_e):
                 continue
-            state = _edit(op, ref, g, k, steps)
-            if state is not None:
-                found = recurse(*state)
-                g.undo_to(mark)
-                if found:
-                    return True
+            cost = g.vw[ref] if op == VDEL else g.ew[ref]
+            if cost > k:
+                continue
+            if cost == k and strategy.stranded(g.reach(op, ref)):
+                nodes += 1  # a leaf that rejects: see the module docstring
+                continue
+            found = recurse(k - cost, _edit(op, ref, g, steps))
+            g.undo_to(mark)
+            if found:
+                return True
         return False
 
     answer = recurse(inst.k, ())
@@ -323,6 +335,9 @@ class _Wedce(_Strategy):
 
     def violation(self):
         return min(self.off, default=None)
+
+    def stranded(self, reach) -> bool:
+        return any(u not in reach and v not in reach for u, v in self.off)
 
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         u, v = bad
@@ -394,6 +409,10 @@ class _Wdce(_Strategy):
     def violation(self):
         return (min(self.off),) if self.off else None
 
+    def stranded(self, reach) -> bool:
+        # doomed vertices are degree violators too, so ``off`` holds them
+        return any(v not in reach for v in self.off)
+
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         (v,) = bad
         t = _max_allowed_at_most(self.cs.delta_of_vertex(v), g.wd[v])
@@ -438,6 +457,10 @@ class _Were(_Wdce):
     def violation(self):
         """As WDCE's, else the least pair in ``bad_pairs``."""
         return super().violation() or min(self.bad_pairs, default=None)
+
+    def stranded(self, reach) -> bool:
+        return super().stranded(reach) or any(
+            a not in reach and b not in reach for a, b in self.bad_pairs)
 
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         if len(bad) == 1:

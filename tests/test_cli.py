@@ -16,9 +16,17 @@ import pytest
 
 import dcedit
 from dcedit.cli import run_cli
-from dcedit.instance_io import ParseError, parse_instance, serialize_instance
+from dcedit.instance_io import (
+    ParseError,
+    parse_decomposition,
+    parse_instance,
+    parse_script,
+    serialize_decomposition,
+    serialize_instance,
+)
 from dcedit.oracle import brute_force_solve
 from dcedit.problems import KINDS
+from dcedit.treewidth import greedy_decomposition
 
 from conftest import weighted_instance
 
@@ -271,6 +279,79 @@ def test_malformed_files_exit_2_with_one_line(tmp_path, capsys):
                 assert err.startswith("error: line ") and err.count("\n") == 1, err
                 count += 1
     assert count == 144
+
+
+_STRAY_TOKENS = ("0", "7", "-1", "x", "b", "s", "td", "vdel", "edel", "YES")
+
+
+def _line_mutants(text, rng, rounds):
+    """Variants of a valid file with one change each: a token dropped, a
+    stray token added, a line duplicated, a line dropped, a digit turned
+    into a letter."""
+    lines = text.splitlines()
+    for _ in range(rounds):
+        i = rng.randrange(len(lines))
+        toks = lines[i].split()
+        j = rng.randrange(len(toks))
+        yield "\n".join(lines[:i] + [" ".join(toks[:j] + toks[j + 1:])] + lines[i + 1:])
+        toks.insert(rng.randrange(len(toks) + 1), rng.choice(_STRAY_TOKENS))
+        yield "\n".join(lines[:i] + [" ".join(toks)] + lines[i + 1:])
+        yield "\n".join(lines[:i + 1] + lines[i:])
+        yield "\n".join(lines[:i] + lines[i + 1:])
+        pos = rng.choice([p for p, c in enumerate(text) if c.isdigit()])
+        yield text[:pos] + "x" + text[pos + 1:]
+
+
+def _run_mutants(capsys, path, parse, argv, bases, rng, answers):
+    """Run each mutant of each base text through ``run_cli(argv)``: one the
+    parser refuses must exit 2 with its ParseError as the one stderr line;
+    one it accepts must exit with one of ``answers`` (code to stderr), never
+    a traceback.  Returns how many mutants the parser refused."""
+    refused = 0
+    for base in bases:
+        for bad in _line_mutants(base, rng, rounds=6):
+            try:
+                parse(bad)
+                expected = None
+            except ParseError as exc:
+                expected = f"error: {exc}\n"
+            path.write_text(bad)
+            code = run_cli(argv)
+            out, err = capsys.readouterr()
+            assert "Traceback" not in err, bad
+            if expected is not None:
+                assert (code, out, err) == (2, "", expected), bad
+                refused += 1
+            else:
+                assert answers.get(code) == err, (bad, code, err)
+    return refused
+
+
+def test_malformed_scripts_and_decompositions_exit_2_with_one_line(tmp_path, capsys):
+    rng = random.Random(20261018)
+    inst_path, bad_path = tmp_path / "inst.txt", tmp_path / "bad.txt"
+    insts = [weighted_instance(kind, seed) for kind in KINDS for seed in range(3)]
+    scripts, decompositions = [], []
+    for inst in insts:
+        g = inst.graph
+        v, (a, b) = g.vertices()[-1], g.edges()[0]
+        scripts.append(f"YES cost=9\nvdel {v}\nedel {a} {b}\neadd {a} {v}\n")
+        decompositions.append(serialize_decomposition(greedy_decomposition(g)))
+    script_refused = td_refused = 0
+    for inst, script, td in zip(insts, scripts, decompositions):
+        inst_path.write_text(serialize_instance(inst))
+        # a script that parses is judged: OK (0) or INVALID (1), on stdout
+        script_refused += _run_mutants(
+            capsys, bad_path, parse_script, ["verify", str(inst_path), str(bad_path)],
+            [script], rng, {0: "", 1: ""})
+        # a decomposition that parses but does not fit the graph is refused
+        # by the DP, with no line number
+        td_refused += _run_mutants(
+            capsys, bad_path, parse_decomposition,
+            ["tw", str(inst_path), "--td", str(bad_path), "-r", "2"], [td], rng,
+            {0: "", 1: "", 2: "error: invalid tree decomposition for this graph\n"})
+    # of 360 mutants each, these many are refused by the parser
+    assert (script_refused, td_refused) == (201, 280)
 
 
 def test_out_of_bound_range_is_refused_before_it_is_built(tmp_path, capsys):

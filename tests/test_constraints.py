@@ -195,6 +195,39 @@ class TestEditScripts:
         with pytest.raises(ValueError, match="step 1"):
             EditScript.build(k13, (("vdel", 0), ("vdel", 0)))
 
+    # `dcedit verify` prints these after "INVALID: ", so they are pinned
+    # byte for byte; the graph is a star on centre 0 with (0, 1) of weight 3
+    ILLEGAL = [
+        ((("vdel", 7),), "illegal edit at step 0 (('vdel', 7)): 'no vertex 7'"),
+        ((("edel", 1, 2),), "illegal edit at step 0 (('edel', 1, 2)): 'no edge (1, 2)'"),
+        ((("vdel", 0), ("vdel", 0)), "illegal edit at step 1 (('vdel', 0)): 'no vertex 0'"),
+        ((("vdel", 0), ("edel", 0, 1)),
+         "illegal edit at step 1 (('edel', 0, 1)): 'no edge (0, 1)'"),
+        ((("eadd", 1, 0),), "illegal edit at step 0 (('eadd', 1, 0)): edge (0, 1) already present"),
+        ((("eadd", 1, 2), ("eadd", 2, 1)),
+         "illegal edit at step 1 (('eadd', 2, 1)): edge (1, 2) already present"),
+        ((("vdel", 3), ("eadd", 1, 3)),
+         "illegal edit at step 1 (('eadd', 1, 3)): 'endpoint missing'"),
+        ((("eadd", 2, 2),), "illegal edit at step 0 (('eadd', 2, 2)): self-loop at 2"),
+        ((("vadd", 5),), "illegal edit at step 0 (('vadd', 5)): unknown operation 'vadd'"),
+    ]
+
+    @pytest.mark.parametrize("steps, message", ILLEGAL)
+    def test_illegal_step_messages(self, steps, message):
+        g = WeightedGraph({0: 2, 1: 1, 2: 1, 3: 1}, {(0, 1): 3, (0, 2): 1, (0, 3): 1})
+        for replay in (EditScript.build, script_cost, apply_edit_script):
+            with pytest.raises(ValueError) as info:
+                replay(g, steps)
+            assert str(info.value) == message
+
+    def test_replay_prices_adds_and_deletes_in_order(self):
+        g = WeightedGraph({0: 2, 1: 1, 2: 1, 3: 1}, {(0, 1): 3, (0, 2): 1, (0, 3): 1})
+        steps = (("vdel", 0), ("eadd", 1, 2), ("edel", 1, 2), ("eadd", 2, 3))
+        script = EditScript.build(g, iter(steps))
+        assert script == EditScript(steps, 5)
+        assert apply_edit_script(g, script) == WeightedGraph({1: 1, 2: 1, 3: 1}, {(2, 3): 1})
+        assert g.n == 4 and g.m == 3   # the input graph is left as it was
+
     def test_eadd_requires_both_endpoints(self, k13):
         with pytest.raises(ValueError):
             EditScript.build(k13, (("vdel", 0), ("eadd", 0, 1)))

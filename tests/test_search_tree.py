@@ -315,32 +315,7 @@ class TestDispatcher:
                 assert rep.witness.cost <= inst.k
 
     def test_weighted_agreement_sweep(self):
-        # weighted graphs and lists of one to four arbitrary values, over
-        # every kind and deletion ops set: the trees must match the oracle
-        rng = random.Random(2015)
-        for _ in range(400):
-            g = random_graph(rng.randint(3, 7), rng.choice([0.4, 0.6]),
-                             seed=rng.randrange(10 ** 6))
-            g = WeightedGraph({v: rng.randint(1, 3) for v in g.vertices()},
-                              {e: rng.randint(1, 4) for e in g.edges()})
-            kind = rng.choice([WDCE, WEDCE, WERE, WSRE])
-            r = rng.randint(2, 8)
-
-            def some(hi=r):
-                return set(rng.sample(range(hi + 1), rng.randint(1, min(4, hi + 1))))
-
-            if kind == WEDCE:
-                cs = ConstraintSet(r=r, delta_e={e: some() for e in g.edges()})
-            elif kind == WSRE:
-                lam, mu = rng.randint(0, min(r, 2)), rng.randint(0, min(r, 3))
-                cs = ConstraintSet(r=r, lam=lam, mu=mu, nu_default=some(lam),
-                                   xi_default=some(mu),
-                                   delta_v={v: some() for v in g.vertices()})
-            else:
-                lam = rng.randint(0, min(r, 2)) if kind == WERE else None
-                cs = ConstraintSet(r=r, lam=lam, delta_v={v: some() for v in g.vertices()})
-            ops = rng.choice([{VDEL}, {EDEL}, {VDEL, EDEL}])
-            inst = ProblemInstance(kind, g, cs, ops, rng.randint(0, 5))
+        for inst in _weighted_sweep():
             rep = solve(inst)
             assert rep.answer == brute_force_solve(inst).answer
             assert rep.nodes_visited <= rep.tree_bound
@@ -349,6 +324,35 @@ class TestDispatcher:
                 assert check_constraints(inst, edited)
                 assert rep.witness.cost <= inst.k
                 assert {step[0] for step in rep.witness.steps} <= inst.ops
+
+
+def _weighted_sweep():
+    """400 seeded instances on weighted graphs with lists of one to four
+    arbitrary values, over every kind and deletion ops set."""
+    rng = random.Random(2015)
+    for _ in range(400):
+        g = random_graph(rng.randint(3, 7), rng.choice([0.4, 0.6]),
+                         seed=rng.randrange(10 ** 6))
+        g = WeightedGraph({v: rng.randint(1, 3) for v in g.vertices()},
+                          {e: rng.randint(1, 4) for e in g.edges()})
+        kind = rng.choice([WDCE, WEDCE, WERE, WSRE])
+        r = rng.randint(2, 8)
+
+        def some(hi=r):
+            return set(rng.sample(range(hi + 1), rng.randint(1, min(4, hi + 1))))
+
+        if kind == WEDCE:
+            cs = ConstraintSet(r=r, delta_e={e: some() for e in g.edges()})
+        elif kind == WSRE:
+            lam, mu = rng.randint(0, min(r, 2)), rng.randint(0, min(r, 3))
+            cs = ConstraintSet(r=r, lam=lam, mu=mu, nu_default=some(lam),
+                               xi_default=some(mu),
+                               delta_v={v: some() for v in g.vertices()})
+        else:
+            lam = rng.randint(0, min(r, 2)) if kind == WERE else None
+            cs = ConstraintSet(r=r, lam=lam, delta_v={v: some() for v in g.vertices()})
+        ops = rng.choice([{VDEL}, {EDEL}, {VDEL, EDEL}])
+        yield ProblemInstance(kind, g, cs, ops, rng.randint(0, 5))
 
 
 def _pinned_instances():
@@ -489,8 +493,8 @@ class TestPinnedPlanted:
         assert got == self.EXPECTED
 
     def test_nodes_build_no_graphs(self, monkeypatch):
-        # nodes edit one working graph in place; only the witness, re-priced
-        # against the input, builds graphs: one per step
+        # nodes edit one working graph in place, and the witness is priced
+        # on copies of the input's maps
         inst = _planted(*PLANTED[2])
         builds = 0
         init = WeightedGraph.__init__
@@ -503,7 +507,47 @@ class TestPinnedPlanted:
         monkeypatch.setattr(WeightedGraph, "__init__", counting)
         rep = solve(inst)
         assert rep.answer and rep.nodes_visited > 400
-        assert builds <= len(rep.witness.steps)
+        assert builds == 0
+
+
+def _without_leaf_rule(monkeypatch):
+    for cls in (search_tree._Wedce, search_tree._Wdce, search_tree._Were):
+        monkeypatch.setattr(cls, "stranded", lambda self, reach: False)
+
+
+class TestLeafRule:
+    # A leaf whose deletion spends the budget while some violation lies
+    # beyond the deletion's reach is counted and rejected without an edit.
+    # The rule may change only the edits made: never an answer, a node
+    # count, a bound or a witness.
+
+    def test_rule_changes_no_report(self, monkeypatch):
+        insts = [*_pinned_instances(), *(_planted(*spec) for spec in PLANTED),
+                 *_weighted_sweep()]
+        with_rule = [solve(inst) for inst in insts]
+        _without_leaf_rule(monkeypatch)
+        assert [solve(inst) for inst in insts] == with_rule
+
+    def test_most_leaves_make_no_edit(self, monkeypatch):
+        edits = 0
+
+        def counting(delete):
+            def wrapped(g, ref):
+                nonlocal edits
+                edits += 1
+                delete(g, ref)
+            return wrapped
+
+        cls = search_tree._WorkGraph
+        monkeypatch.setattr(cls, "delete_vertex", counting(cls.delete_vertex))
+        monkeypatch.setattr(cls, "delete_edge", counting(cls.delete_edge))
+        inst = _planted(*PLANTED[0])
+        rep = solve(inst)
+        assert rep.nodes_visited == 464
+        assert 2 * edits < rep.nodes_visited
+        edits = 0
+        _without_leaf_rule(monkeypatch)
+        assert solve(inst) == rep and edits >= rep.nodes_visited - 1
 
 
 def _full_scan(inst, g):
