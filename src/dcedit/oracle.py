@@ -9,11 +9,20 @@ endpoints surviving (re-adding a just-deleted edge is never minimal).
 
 Enumeration is cached per (graph, budget, adds?) so sweeping many
 constraint sets over one graph — the typical test workload — prices each
-edit set once.  Each cached candidate carries the full ``problems.measures``
-of its result, so one universe serves every kind, and a candidate is tested
-with ``problems.violations``, the one definition of what each kind checks.
-A universe stores each step tuple and each distinct measure tuple once; its
-candidates share them.
+edit set once.  Each cached candidate carries the full ``Measures`` of its
+result, so one universe serves every kind, and a candidate is tested with
+``problems.violations``, the one definition of what each kind checks.
+
+A universe is built one frame at a time.  A frame is one set of vertex
+deletions; it holds the surviving graph once, as an edge flag, a weighted
+degree per vertex and a common-neighbour count per vertex pair.  Edge
+deletions, then edge additions, are walked depth-first on that one graph:
+toggling uv updates the degrees of u and v and the counts of the pairs
+through u or v, and the walk undoes it on the way back.  Each candidate's
+measures are read off those counts in the frame's lexicographic pair order;
+the tests pin them to ``problems.measures`` of the edited graph.  A
+universe stores each step tuple, vertex pair and distinct measure tuple
+once; its candidates share them.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterator, Optional
 
 from .graphs import WeightedGraph
@@ -32,7 +41,6 @@ from .problems import (
     EditScript,
     Measures,
     ProblemInstance,
-    measures,
     step_sort_key,
     violations,
 )
@@ -85,53 +93,106 @@ class _Candidate:
 def _universe(g: WeightedGraph, cap: int, include_adds: bool):
     """All candidates of cost <= cap, sorted by (cost, canonical script)."""
     all_vs = g.vertices()
-    all_es = g.edges()
-    ew = {e: g.edge_weight(*e) for e in all_es}
-    vitems = [(v, g.vertex_weight(v)) for v in all_vs]
-    nonedges = tuple(g.non_adjacent_pairs())
-    # candidates share step and measure tuples, so cached universes stay
-    # small; each step's sort key is computed once
+    ew = g.edge_weights()
+    # every frame takes its pairs from this one lexicographic tuple; a pair's
+    # one step is edel if it is an edge of g, else eadd
+    all_pairs = tuple(combinations(all_vs, 2))
     vstep = {v: (VDEL, v) for v in all_vs}
-    estep = {e: (EDEL,) + e for e in all_es}
-    astep = {p: (EADD,) + p for p in nonedges}
+    pstep = {p: ((EDEL,) if p in ew else (EADD,)) + p for p in all_pairs}
     step_key = {s: step_sort_key(s)
-                for d in (vstep, estep, astep) for s in d.values()}.__getitem__
+                for d in (vstep, pstep) for s in d.values()}.__getitem__
+    # candidates share step and measure tuples, so cached universes stay small
     shared = {}.setdefault
-
     out = []
-    for dv, cv in _weighted_subsets(vitems, cap):
-        dvset = set(dv)
-        verts = tuple(v for v in all_vs if v not in dvset)
-        surv_es = [e for e in all_es if e[0] not in dvset and e[1] not in dvset]
-        eitems = [(e, ew[e]) for e in surv_es]
-        addable = [p for p in nonedges if p[0] not in dvset and p[1] not in dvset]
-        for de, ce in _weighted_subsets(eitems, cap - cv):
-            rest = cap - cv - ce
-            if include_adds and rest > 0:
-                add_choices = [
-                    tuple(c) for s in range(rest + 1)
-                    for c in combinations(addable, s)
-                ]
+
+    def frame(dv, cv):
+        """Every candidate that deletes exactly the vertices ``dv``."""
+        gone = set(dv)
+        verts = tuple(v for v in all_vs if v not in gone)
+        pairs = tuple(p for p in all_pairs if p[0] not in gone and p[1] not in gone)
+        at = {v: i for i, v in enumerate(verts)}
+        ends = [(at[u], at[v]) for u, v in pairs]
+        index = [[0] * len(verts) for _ in verts]
+        for p, (i, j) in enumerate(ends):
+            index[i][j] = index[j][i] = p
+        steps_of = [pstep[p] for p in pairs]
+        # the mutable graph: edge flags per pair, neighbour sets, weighted
+        # degrees and a common-neighbour count per pair
+        present = [p in ew for p in pairs]
+        absent = [not x for x in present]
+        nbr = [set() for _ in verts]
+        wdeg = [0] * len(verts)
+        # (pair, weight, toggled on?, mask bit): every edge deletion, then
+        # every addition, so the steps of a walk come out in canonical order
+        moves = []
+        for p, (i, j) in enumerate(ends):
+            if present[p]:
+                w = ew[pairs[p]]
+                nbr[i].add(j)
+                nbr[j].add(i)
+                wdeg[i] += w
+                wdeg[j] += w
+                moves.append((p, w, False, 2))
+        if include_adds:
+            moves += [(p, 1, True, 4) for p, x in enumerate(absent) if x]
+        com = [len(nbr[i] & nbr[j]) for i, j in ends]
+
+        def toggle(p, w, on):
+            """Add (``on``) or delete pair ``p`` as an edge of weight ``w``."""
+            i, j = ends[p]
+            ni, nj = nbr[i], nbr[j]
+            present[p] = on
+            absent[p] = not on
+            if on:
+                ni.add(j)
+                nj.add(i)
+                c = 1
             else:
-                add_choices = [()]
-            deset = set(de)
-            for added in add_choices:
-                cost = cv + ce + len(added)
-                nbr = {v: set() for v in verts}
-                final_edges = [e for e in surv_es if e not in deset] + list(added)
-                final_edges.sort()
-                for (u, v) in final_edges:
-                    nbr[u].add(v)
-                    nbr[v].add(u)
-                # subsets keep their input's sorted order, so this is canonical
-                steps = tuple(
-                    [vstep[v] for v in dv]
-                    + [estep[e] for e in de]
-                    + [astep[p] for p in added]
-                )
-                mask = (1 if dv else 0) | (2 if de else 0) | (4 if added else 0)
-                m = measures(verts, tuple(final_edges), nbr, ew)
-                out.append(_Candidate(cost, steps, mask, [shared(f, f) for f in m]))
+                ni.discard(j)
+                nj.discard(i)
+                c = -1
+            wdeg[i] += c * w
+            wdeg[j] += c * w
+            # while ij is an edge, i is a common neighbour of j and each other
+            # neighbour of i, and j one of i and each other neighbour of j
+            row = index[j]
+            for x in ni:
+                if x != j:
+                    com[row[x]] += c
+            row = index[i]
+            for x in nj:
+                if x != i:
+                    com[row[x]] += c
+
+        def emit(cost, steps, mask):
+            """Record the current graph as a candidate, reading its
+            ``Measures`` off the counts in the frame's pair order."""
+            wd = tuple(wdeg)
+            out.append(_Candidate(cost, steps, mask, [shared(f, f) for f in (
+                verts,
+                wd,
+                tuple(compress(pairs, present)),
+                tuple([wd[i] + wd[j] for i, j in compress(ends, present)]),
+                tuple(compress(com, present)),
+                tuple(compress(pairs, absent)),
+                tuple(compress(com, absent)),
+            )]))
+
+        def walk(start, rest, cost, steps, mask):
+            """Emit the current graph, then each subset of ``moves[start:]``
+            that fits in ``rest``: one toggle in, its undo on the way back."""
+            emit(cost, steps, mask)
+            for m in range(start, len(moves)):
+                p, w, on, bit = moves[m]
+                if w <= rest:
+                    toggle(p, w, on)
+                    walk(m + 1, rest - w, cost + w, steps + (steps_of[p],), mask | bit)
+                    toggle(p, w, not on)
+
+        walk(0, cap - cv, cv, tuple([vstep[v] for v in dv]), 1 if dv else 0)
+
+    for dv, cv in _weighted_subsets([(v, g.vertex_weight(v)) for v in all_vs], cap):
+        frame(dv, cv)
     out.sort(key=lambda c: (c.cost, tuple(map(step_key, c.steps))))
     return tuple(out)
 

@@ -170,6 +170,10 @@ class ProblemInstance:
     file loader and keeps instance equality well-defined.  k may be
     negative: kernelization charges deletions against the budget and a
     negative result is an immediate no-instance, not an error.
+
+    Construction refuses, with ValueError, an instance whose checks would
+    look up a list that is not there: a vertex (an edge, for WEDCE) with no
+    stored delta, or a WERE/WSRE constraint set without lambda (WSRE: mu).
     """
 
     __slots__ = ("kind", "graph", "constraints", "ops", "k", "_key")
@@ -189,6 +193,17 @@ class ProblemInstance:
             isolated = [v for v in graph.vertices() if not graph.neighbors(v)]
             if isolated:
                 graph = graph.subgraph(set(graph.vertices()) - set(isolated))
+            stored, listed = graph.edge_weights().keys(), constraints.delta_e.keys()
+            if not stored <= listed:
+                raise ValueError(f"no delta list stored for edge {min(stored - listed)!r}")
+        else:
+            stored, listed = graph.vertex_weights().keys(), constraints.delta_v.keys()
+            if not stored <= listed:
+                raise ValueError(f"no delta list stored for vertex {min(stored - listed)!r}")
+            if kind in (WERE, WSRE) and constraints.lam is None:
+                raise ValueError(f"{kind} needs lambda, the bound on nu")
+            if kind == WSRE and constraints.mu is None:
+                raise ValueError(f"{kind} needs mu, the bound on xi")
         self.kind = kind
         self.graph = graph
         self.constraints = constraints
@@ -348,8 +363,13 @@ def _apply_steps(g: WeightedGraph, steps: Tuple[tuple, ...]):
     adj = {v: set(ns) for v, ns in g.adjacency().items()}
     cost = 0
     for i, step in enumerate(steps):
-        op = step[0]
         try:
+            op = step[0] if step else None
+            ids = 1 if op == VDEL else 2 if op in (EDEL, EADD) else 0
+            if not ids:
+                raise ValueError(f"unknown operation {op!r}")
+            if len(step) != 1 + ids:
+                raise ValueError(f"{op} takes {ids} id{'s' * (ids > 1)}, got {len(step) - 1}")
             if op == VDEL:
                 v = step[1]
                 if v not in vw:
@@ -365,7 +385,7 @@ def _apply_steps(g: WeightedGraph, steps: Tuple[tuple, ...]):
                 cost += ew.pop(e)
                 adj[e[0]].discard(e[1])
                 adj[e[1]].discard(e[0])
-            elif op == EADD:
+            else:
                 u, v = step[1], step[2]
                 if u not in vw or v not in vw:
                     raise KeyError("endpoint missing")
@@ -378,9 +398,7 @@ def _apply_steps(g: WeightedGraph, steps: Tuple[tuple, ...]):
                 adj[u].add(v)
                 adj[v].add(u)
                 cost += 1
-            else:
-                raise ValueError(f"unknown operation {op!r}")
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"illegal edit at step {i} ({step!r}): {exc}") from None
     return vw, ew, cost
 

@@ -99,6 +99,37 @@ class TestProblemInstance:
         inst = uniform_instance(WDCE, complete(3), r=2, k=-1, ops={VDEL})
         assert inst.k == -1
 
+    @pytest.mark.parametrize("kind", [WERE, WSRE])
+    def test_refuses_nu_kinds_without_lambda(self, kind):
+        g = complete(3)
+        cs = ConstraintSet(r=2, mu=0, delta_v={v: {2} for v in g.vertices()})
+        with pytest.raises(ValueError, match=f"^{kind} needs lambda, the bound on nu$"):
+            ProblemInstance(kind=kind, graph=g, constraints=cs, ops={VDEL}, k=0)
+
+    def test_refuses_wsre_without_mu(self):
+        g = complete(3)
+        cs = ConstraintSet(r=2, lam=1, delta_v={v: {2} for v in g.vertices()})
+        with pytest.raises(ValueError, match="^WSRE needs mu, the bound on xi$"):
+            ProblemInstance(kind=WSRE, graph=g, constraints=cs, ops={VDEL}, k=0)
+        # WERE never reads xi, so it needs no mu
+        ProblemInstance(kind=WERE, graph=g, constraints=cs, ops={VDEL}, k=0)
+
+    @pytest.mark.parametrize("kind", [WDCE, WERE, WSRE])
+    def test_refuses_vertex_without_delta(self, kind):
+        g = complete(4)
+        cs = ConstraintSet(r=3, lam=1, mu=1, delta_v={0: {3}, 2: {3}})
+        with pytest.raises(ValueError, match=r"^no delta list stored for vertex 1$"):
+            ProblemInstance(kind=kind, graph=g, constraints=cs, ops={VDEL}, k=0)
+
+    def test_refuses_wedce_edge_without_delta(self):
+        g = WeightedGraph({0: 1, 1: 1, 2: 1}, {(0, 1): 1, (1, 2): 1})
+        cs = ConstraintSet(r=3, delta_e={(1, 0): {3}})
+        with pytest.raises(ValueError, match=r"^no delta list stored for edge \(1, 2\)$"):
+            ProblemInstance(kind=WEDCE, graph=g, constraints=cs, ops={EDEL}, k=0)
+        # an isolated vertex is discarded first, so it needs no list
+        g = WeightedGraph({0: 1, 1: 1, 2: 1}, {(0, 1): 1})
+        ProblemInstance(kind=WEDCE, graph=g, constraints=cs, ops={EDEL}, k=0)
+
 
 class TestStarViolation:
     def test_uniform_singletons_pass(self):
@@ -210,6 +241,15 @@ class TestEditScripts:
          "illegal edit at step 1 (('eadd', 1, 3)): 'endpoint missing'"),
         ((("eadd", 2, 2),), "illegal edit at step 0 (('eadd', 2, 2)): self-loop at 2"),
         ((("vadd", 5),), "illegal edit at step 0 (('vadd', 5)): unknown operation 'vadd'"),
+        (((),), "illegal edit at step 0 (()): unknown operation None"),
+        ((("vdel",),), "illegal edit at step 0 (('vdel',)): vdel takes 1 id, got 0"),
+        ((("vdel", 1), ("edel", 0)),
+         "illegal edit at step 1 (('edel', 0)): edel takes 2 ids, got 1"),
+        ((("eadd", 1),), "illegal edit at step 0 (('eadd', 1)): eadd takes 2 ids, got 1"),
+        ((("vdel", 1, 2),), "illegal edit at step 0 (('vdel', 1, 2)): vdel takes 1 id, got 2"),
+        ((("vdel", [1]),), "illegal edit at step 0 (('vdel', [1])): unhashable type: 'list'"),
+        ((("edel", 0, "1"),), "illegal edit at step 0 (('edel', 0, '1')): "
+                              "'<=' not supported between instances of 'int' and 'str'"),
     ]
 
     @pytest.mark.parametrize("steps, message", ILLEGAL)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +21,14 @@ from dcedit.problems import (
     WEDCE,
     WERE,
     WSRE,
+    EditScript,
+    Measures,
     apply_edit_script,
+    canonical_steps,
     check_constraints,
+    measures,
+    script_cost,
+    step_sort_key,
 )
 
 from conftest import star_graph, uniform_instance
@@ -109,17 +116,67 @@ def test_weighted_costs_steer_the_witness():
 
 
 def test_universe_shares_step_and_measure_tuples():
-    """A universe makes each step tuple once and stores equal measure
-    tuples once."""
+    """A universe makes each step tuple and each vertex pair once and
+    stores equal measure tuples once."""
     g = random_graph(6, 0.5, seed=4)
     universe = _universe(g, 2, True)
     steps = [s for cand in universe for s in cand.steps]
     assert len(steps) > len(set(steps)) > 0
     assert len({id(s) for s in steps}) == len(set(steps))
-    for field in ("wdeg", "edeg", "pcom"):
+    for field in ("wdeg", "edges", "edeg", "pairs", "pcom"):
         values = [getattr(cand, field) for cand in universe]
         assert len(values) > len(set(values))
         assert len({id(v) for v in values}) == len(set(values)), field
+    pairs = [p for cand in universe for p in cand.edges + cand.pairs]
+    assert len(pairs) > len(set(pairs)) == 15
+    assert len({id(p) for p in pairs}) == len(set(pairs))
+
+
+def _weighted_graph(rng, n):
+    return WeightedGraph({v: rng.randint(1, 3) for v in range(n)},
+                         {(u, v): rng.randint(1, 3) for u in range(n)
+                          for v in range(u + 1, n) if rng.random() < 0.5})
+
+
+def _enumerate_edit_sets(g, cap, include_adds):
+    """``(cost, steps, mask)`` of every legal edit set of cost <= cap, from
+    all step combinations (each costs at least 1) priced by ``script_cost``."""
+    steps = [(VDEL, v) for v in g.vertices()] + [(EDEL,) + e for e in g.edges()]
+    if include_adds:
+        steps += [(EADD,) + p for p in g.non_adjacent_pairs()]
+    out = []
+    for size in range(min(cap, len(steps)) + 1):
+        for chosen in combinations(steps, size):
+            gone = {s[1] for s in chosen if s[0] == VDEL}
+            if any(s[0] != VDEL and (s[1] in gone or s[2] in gone) for s in chosen):
+                continue
+            cost = script_cost(g, chosen)
+            if cost <= cap:
+                mask = sum({VDEL: 1, EDEL: 2, EADD: 4}[op]
+                           for op in {s[0] for s in chosen})
+                out.append((cost, canonical_steps(chosen), mask))
+    out.sort(key=lambda c: (c[0], [step_sort_key(s) for s in c[1]]))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_universe_matches_definition(seed):
+    """The universe is every legal edit set of cost <= cap, in (cost,
+    canonical script) order, and its incrementally kept measures are
+    ``problems.measures`` of the edited graph."""
+    rng = random.Random(f"universe/{seed}")
+    g = _weighted_graph(rng, 1 + seed % 6)
+    for cap in range(5):
+        for include_adds in (False, True):
+            universe = _universe(g, cap, include_adds)
+            assert [(c.cost, c.steps, c.mask) for c in universe] == \
+                _enumerate_edit_sets(g, cap, include_adds)
+            for cand in universe:
+                edited = apply_edit_script(g, EditScript(cand.steps, cand.cost))
+                m = measures(edited.vertices(), edited.edges(), edited.adjacency(),
+                             edited.edge_weights())
+                assert tuple(getattr(cand, f) for f in Measures._fields) == m, \
+                    (cap, include_adds, cand.steps)
 
 
 @settings(deadline=None, max_examples=60)
