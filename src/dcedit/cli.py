@@ -6,10 +6,16 @@ diagnostics, kernel traces and --stats counters go to stderr.  Exit codes:
 0 = yes / verified, 1 = no / rejected, 2 = any error.  From a checkout:
 ``PYTHONPATH=src python3 -m dcedit.cli <subcommand> ...``.
 
-The argument parser is built once per process, on the first ``run_cli``
-call, so in-process callers (tests, ``perfbench``) pay for it once.  argparse
-reads ``sys.stdout``/``sys.stderr`` and the terminal width when it prints,
-not when it is built, so help and usage errors are unchanged by the reuse.
+The argument parsers are built once per process, on the first ``run_cli``
+call, so in-process callers (tests, ``perfbench``) pay for them once.
+argparse reads ``sys.stdout``/``sys.stderr`` and the terminal width when it
+prints, not when it is built, so help and usage errors are unchanged by the
+reuse.  An argv that starts with a subcommand name goes straight to that
+subcommand's parser, which is what the top-level parser would hand it to,
+so argv is parsed once.  The subcommand parser only collects arguments it
+does not know; the top-level parser reports them, as its ``parse_args``
+does, so the usage line of that error stays the top-level one.  Any other
+argv (none, ``-h``, an unknown name) goes through the top-level parser.
 Run as a program, a warning (the oracle's envelope) prints as one
 ``warning: ...`` line on stderr; ``run_cli`` callers get the ``UserWarning``.
 """
@@ -20,8 +26,7 @@ import argparse
 import functools
 import sys
 import warnings
-from pathlib import Path
-from typing import List
+from typing import Dict, List, Tuple
 
 from .graphs import WeightedGraph, complete, cycle, petersen, random_graph
 from .instance_io import (
@@ -50,27 +55,33 @@ GEN_FAMILIES = ("complete", "cycle", "petersen", "gnp")
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name."""
     top = argparse.ArgumentParser(prog="dcedit",
                                   description="degree-constraint edit solvers")
     sub = top.add_subparsers(dest="command", required=True)
+    subs: Dict[str, argparse.ArgumentParser] = {}
 
-    p = sub.add_parser("solve", help="decide an instance and print an edit script")
+    def add(name: str, help: str) -> argparse.ArgumentParser:
+        subs[name] = sub.add_parser(name, help=help)
+        return subs[name]
+
+    p = add("solve", "decide an instance and print an edit script")
     p.add_argument("file")
     p.add_argument("--stats", action="store_true",
                    help="report nodes visited and the tree-size bound on stderr")
 
-    p = sub.add_parser("kernelize", help="reduce an instance; trace on stderr")
+    p = add("kernelize", "reduce an instance; trace on stderr")
     p.add_argument("file")
 
-    p = sub.add_parser("verify", help="check an edit script against an instance")
+    p = add("verify", "check an edit script against an instance")
     p.add_argument("file")
     p.add_argument("script")
 
-    p = sub.add_parser("oracle", help="exhaustive ground-truth answer")
+    p = add("oracle", "exhaustive ground-truth answer")
     p.add_argument("file")
 
-    p = sub.add_parser("gen", help="emit a generated instance file")
+    p = add("gen", "emit a generated instance file")
     p.add_argument("family", choices=GEN_FAMILIES)
     p.add_argument("params", nargs="*",
                    help="complete/cycle: n; gnp: n p; petersen: none")
@@ -79,17 +90,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("tw", help="regular-subgraph existence via treewidth DP")
+    p = add("tw", "regular-subgraph existence via treewidth DP")
     p.add_argument("file")
     p.add_argument("--td", help="tree decomposition file (default: greedy heuristic)")
     p.add_argument("--mode", choices=("induced", "subgraph", "addition"),
                    default="induced")
     p.add_argument("-r", type=int, required=True)
-    return top
+    return top, subs
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _print_answer(witness: EditScript) -> None:
@@ -184,6 +196,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_tw(args) -> int:
+    if args.mode == "addition" and args.td is not None:
+        raise ValueError("--td does not apply to --mode addition")
     if args.r < 0:
         raise ValueError("r must be non-negative")
     g = parse_instance(_read(args.file)).graph
@@ -207,10 +221,21 @@ _COMMANDS = {
 }
 
 
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    top, subs = _build_parser()
+    sub = subs.get(argv[0]) if argv else None
+    if sub is None:
+        return top.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def run_cli(argv: List[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

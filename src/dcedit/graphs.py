@@ -49,6 +49,25 @@ class WeightedGraph:
         self._key = None
 
     @classmethod
+    def _owning(cls, vw: Dict, ew: Dict) -> "WeightedGraph":
+        """A graph that takes ownership of ``vw`` and ``ew`` as they are.
+
+        For callers that have already made every check of ``__init__``:
+        positive int weights, ``edge_key`` pairs on declared vertices.  The
+        adjacency is built in the same order as ``__init__`` builds it.
+        """
+        adj = {v: set() for v in vw}
+        for u, v in ew:
+            adj[u].add(v)
+            adj[v].add(u)
+        g = cls.__new__(cls)
+        g._vw = vw
+        g._ew = ew
+        g._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        g._key = None
+        return g
+
+    @classmethod
     def build(cls, vertices: Iterable, edges: Iterable) -> "WeightedGraph":
         """Convenience constructor.
 

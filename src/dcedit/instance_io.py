@@ -16,7 +16,10 @@ few set tokens and ``weight=``/``delta=`` tails many times, so each
 distinct one is parsed once per file, and each distinct list is
 range-checked once per bound.  An ``a..b`` range is expanded only after
 both ends are checked against its bound (r, lambda or mu), so a range far
-past the bound is refused without being built.
+past the bound is refused without being built.  These checks are all the
+checks ``WeightedGraph`` and ``ConstraintSet`` make, so the parser hands the
+maps it built to their ``_owning`` constructors, which take them without a
+second check or copy; ``ProblemInstance`` still runs its own checks.
 """
 
 from __future__ import annotations
@@ -303,11 +306,10 @@ def parse_instance(text: str) -> ProblemInstance:
     if "xi" in defaults:
         ln, tok = defaults["xi"]
         xi_default = values(tok, mu, ln, "default xi")
+    graph = WeightedGraph._owning({v: w for v, (_, (w, _)) in verts.items()},
+                                  {e: w for e, (_, (w, _)) in edges.items()})
+    cs = ConstraintSet._owning(r, lam, mu, dv, de, nu, xi, nu_default, xi_default)
     try:
-        graph = WeightedGraph({v: w for v, (_, (w, _)) in verts.items()},
-                              {e: w for e, (_, (w, _)) in edges.items()})
-        cs = ConstraintSet(r=r, lam=lam, mu=mu, delta_v=dv, delta_e=de,
-                           nu=nu, xi=xi, nu_default=nu_default, xi_default=xi_default)
         return ProblemInstance(kind=kind, graph=graph, constraints=cs, ops=ops, k=k)
     except ValueError as exc:
         raise ParseError(None, str(exc)) from None

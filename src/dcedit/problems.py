@@ -87,19 +87,41 @@ class ConstraintSet:
                     raise ValueError(f"{name}[{key!r}]={sorted(vals)} outside [0..{hi}]")
                 valid.add(vals)
         if nu_default is not None:
-            self.nu_default = frozenset(nu_default)
-            if lam is None or not self.nu_default or \
-                    any(x < 0 or x > lam for x in self.nu_default):
+            nu_default = frozenset(nu_default)
+            if lam is None or not nu_default or any(x < 0 or x > lam for x in nu_default):
                 raise ValueError("bad nu default")
-        else:
-            self.nu_default = frozenset(range(lam + 1)) if lam is not None else None
         if xi_default is not None:
-            self.xi_default = frozenset(xi_default)
-            if mu is None or not self.xi_default or \
-                    any(x < 0 or x > mu for x in self.xi_default):
+            xi_default = frozenset(xi_default)
+            if mu is None or not xi_default or any(x < 0 or x > mu for x in xi_default):
                 raise ValueError("bad xi default")
-        else:
-            self.xi_default = frozenset(range(mu + 1)) if mu is not None else None
+        self._set_defaults(nu_default, xi_default)
+
+    @classmethod
+    def _owning(cls, r: int, lam: Optional[int], mu: Optional[int], delta_v: Dict,
+                delta_e: Dict, nu: Dict, xi: Dict, nu_default: Optional[frozenset],
+                xi_default: Optional[frozenset]) -> "ConstraintSet":
+        """A constraint set that takes ownership of the four maps as they are.
+
+        For callers that have already made every check of ``__init__``:
+        bounds in range, frozenset values that are non-empty and within
+        their bound, ``edge_key`` pair keys, frozenset defaults or None.
+        """
+        cs = cls.__new__(cls)
+        cs.r, cs.lam, cs.mu = r, lam, mu
+        cs.delta_v, cs.delta_e, cs.nu, cs.xi = delta_v, delta_e, nu, xi
+        cs._set_defaults(nu_default, xi_default)
+        return cs
+
+    def _set_defaults(self, nu_default: Optional[frozenset],
+                      xi_default: Optional[frozenset]) -> None:
+        """Store the defaults, a missing one as the full range of its bound."""
+        lam, mu = self.lam, self.mu
+        if nu_default is None and lam is not None:
+            nu_default = frozenset(range(lam + 1))
+        if xi_default is None and mu is not None:
+            xi_default = frozenset(range(mu + 1))
+        self.nu_default = nu_default
+        self.xi_default = xi_default
         self._key = None
 
     def delta_of_vertex(self, v) -> frozenset:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import dcedit
+from dcedit import cli
 from dcedit.cli import run_cli
 from dcedit.instance_io import (
     ParseError,
@@ -79,8 +80,10 @@ class TestSolve:
         assert capsys.readouterr().out == "OK cost=1\n"
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
-        assert run_cli(["solve", str(tmp_path / "absent.wedce")]) == 2
-        assert "error:" in capsys.readouterr().err
+        path = str(tmp_path / "absent.wedce")
+        assert run_cli(["solve", path]) == 2
+        assert capsys.readouterr() == \
+            ("", f"error: [Errno 2] No such file or directory: {path!r}\n")
 
     def test_malformed_file_is_an_error(self, tmp_path, capsys):
         p = tmp_path / "bad.wedce"
@@ -227,6 +230,16 @@ class TestTw:
                         "-r", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("td", ["c5.td", "absent.td"])
+    def test_decomposition_refused_in_addition_mode(self, tmp_path, capsys, td):
+        """The addition DP takes no decomposition; one given is refused
+        before any file is read, not ignored."""
+        f = self.fixture_c5(tmp_path)
+        (tmp_path / "c5.td").write_text("s td 1 5 5\nb 0 0 1 2 3 4\n")
+        argv = ["tw", f, "--td", str(tmp_path / td), "--mode", "addition", "-r", "3"]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", "error: --td does not apply to --mode addition\n")
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -236,6 +249,86 @@ class TestExitCodes:
     def test_no_arguments(self, capsys):
         assert run_cli([]) == 2
         capsys.readouterr()
+
+
+# Every argv shape: ``run_cli`` sends a known subcommand straight to its own
+# parser, so each shape must end as the top-level parser would end it.
+_SUBCOMMAND_ARGV = {
+    "solve": ["solve", "f"],
+    "kernelize": ["kernelize", "f"],
+    "verify": ["verify", "f", "s"],
+    "oracle": ["oracle", "f"],
+    "gen": ["gen", "cycle", "5"],
+    "tw": ["tw", "f", "-r", "2"],
+}
+DISPATCH_TABLE = [
+    [], ["-h"], ["--help"], ["warp"], ["warp", "f"], ["sol", "f"], ["--bogus"],
+    ["--", "solve", "f"], ["-h", "solve", "f"],
+    *([name, "-h"] for name in _SUBCOMMAND_ARGV),
+    *([name, "--help"] for name in _SUBCOMMAND_ARGV),
+    *(argv for argv in _SUBCOMMAND_ARGV.values()),
+    *(argv + ["--bogus"] for argv in _SUBCOMMAND_ARGV.values()),
+    *(argv + ["extra"] for argv in _SUBCOMMAND_ARGV.values()),
+    *(argv + ["-x", "extra"] for argv in _SUBCOMMAND_ARGV.values()),
+    *([name] for name in _SUBCOMMAND_ARGV),                # missing positionals
+    ["verify", "f"], ["tw", "-r", "2"], ["tw", "f"],      # missing -r
+    ["tw", "f", "-r", "x"], ["tw", "f", "-r"], ["tw", "f", "-r", "-1"],
+    ["tw", "f", "-r=2"], ["tw", "f", "-r2", "--mode", "subgraph"],
+    ["tw", "f", "-r", "2", "--mode", "bogus"], ["tw", "f", "-r", "2", "--mo", "addition"],
+    ["tw", "f", "-r", "2", "--td"], ["tw", "f", "-r", "2", "--td", "t", "--td", "u"],
+    ["gen", "cycle", "5", "--k", "x"], ["gen", "cycle", "5", "--seed", "1.5"],
+    ["gen", "cycle", "5", "--kind", "XYZ"], ["gen", "bogus"], ["gen", "gnp", "6", "0.5",
+                                                              "--ki", "WSRE", "--k=2"],
+    ["solve", "f", "--stat"], ["solve", "f", "--stats", "--stats"], ["solve", "--stats", "f"],
+    ["solve", "f", "-h"], ["solve", "f", "--bogus", "--help"],
+    ["solve", "--", "f"], ["solve", "f", "--", "--stats"], ["solve", "--", "--stats"],
+    ["verify", "--", "f", "s"], ["solve", "f", "--"], ["gen", "cycle", "--", "5", "-1"],
+    ["solve", "f", "solve"], ["solve", "-"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_TABLE, ids=" ".join)
+def test_dispatch_matches_the_top_level_parser(argv, monkeypatch, capsys):
+    """(exit code, stdout, stderr) and the parsed arguments equal what
+    the top-level parser's ``parse_args`` gives, with ``SystemExit`` mapped as
+    ``run_cli`` maps it; extra arguments are reported by the top level."""
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = []
+    monkeypatch.setattr(cli, "_COMMANDS", {name: lambda args: seen.append(vars(args)) or 0
+                                           for name in _SUBCOMMAND_ARGV})
+    got = (run_cli(argv), *capsys.readouterr(), seen)
+    try:
+        expected = [vars(cli._build_parser()[0].parse_args(argv))]
+        code = 0
+    except SystemExit as exc:
+        expected = []
+        code = 0 if exc.code in (0, None) else 2
+    assert got == (code, *capsys.readouterr(), expected)
+
+
+def _unreadable(fault, path):
+    """Make ``path`` unreadable as ``fault`` says; the stderr that gives."""
+    if fault == "missing":
+        return f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    if fault == "directory":
+        path.mkdir()
+        return f"error: [Errno 21] Is a directory: {str(path)!r}\n"
+    path.write_bytes(b"problem WDCE\n\xff\n")
+    return "error: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte\n"
+
+
+@pytest.mark.parametrize("shape", [
+    ["solve", "{bad}"], ["kernelize", "{bad}"], ["oracle", "{bad}"],
+    ["verify", "{bad}", "{k13}"], ["verify", "{k13}", "{bad}"],
+    ["tw", "{bad}", "-r", "2"], ["tw", "{k13}", "--td", "{bad}", "-r", "2"],
+], ids=" ".join)
+@pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8"])
+def test_unreadable_file_exits_2_with_one_line(fault, shape, k13_file, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    err = _unreadable(fault, bad)
+    argv = [a.format(bad=bad, k13=k13_file) for a in shape]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 # Tokens each directive cannot lose: dropping one always breaks the line.
@@ -375,7 +468,13 @@ class TestParserReuse:
     """run_cli builds its parser once per process; reuse leaks nothing
     from one call into the next."""
 
-    def test_parser_built_once(self, k13_file, monkeypatch, capsys):
+    def test_parser_built_once(self, k13_file, tmp_path, monkeypatch, capsys):
+        script = tmp_path / "k13.script"
+        script.write_text("vdel 0\n")
+        c5 = TestTw().fixture_c5(tmp_path)
+        calls = [["gen", "cycle", "5"], ["solve", k13_file, "--stats"],
+                 ["kernelize", k13_file], ["verify", k13_file, str(script)],
+                 ["oracle", k13_file], ["tw", c5, "-r", "2"]]
         run_cli(["gen", "cycle", "5"])
         built = []
         init = argparse.ArgumentParser.__init__
@@ -386,8 +485,7 @@ class TestParserReuse:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         for _ in range(10):
-            assert run_cli(["gen", "cycle", "5"]) == 0
-            assert run_cli(["solve", k13_file, "--stats"]) == 0
+            assert [run_cli(argv) for argv in calls] == [0] * len(calls)
         capsys.readouterr()
         assert built == []
 

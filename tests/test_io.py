@@ -149,6 +149,28 @@ class TestParseInstance:
         assert str(exc.value) == message
 
 
+def _contents(inst):
+    """Everything an instance holds.  ``==`` on instances compares ``key()``,
+    which leaves out the adjacency."""
+    g, cs = inst.graph, inst.constraints
+    return (inst.kind, inst.ops, inst.k, dict(g.adjacency()), dict(g.vertex_weights()),
+            dict(g.edge_weights()), cs.r, cs.lam, cs.mu, cs.delta_v, cs.delta_e,
+            cs.nu, cs.xi, cs.nu_default, cs.xi_default)
+
+
+def assert_built_as_public(parsed, source):
+    """``parsed`` holds what the public constructors build from its maps, and
+    what ``source`` holds."""
+    g, cs = parsed.graph, parsed.constraints
+    rebuilt = ProblemInstance(
+        parsed.kind, WeightedGraph(dict(g.vertex_weights()), dict(g.edge_weights())),
+        ConstraintSet(r=cs.r, lam=cs.lam, mu=cs.mu, delta_v=cs.delta_v,
+                      delta_e=cs.delta_e, nu=cs.nu, xi=cs.xi,
+                      nu_default=cs.nu_default, xi_default=cs.xi_default),
+        parsed.ops, parsed.k)
+    assert _contents(parsed) == _contents(rebuilt) == _contents(source)
+
+
 class TestSerializeInstance:
     def test_canonical_golden(self):
         g = WeightedGraph({0: 1, 1: 1, 2: 1}, {(0, 1): 1, (1, 2): 1})
@@ -169,7 +191,9 @@ class TestSerializeInstance:
                              lam=0, mu=1),
         ]
         for inst in fixtures:
-            assert parse_instance(serialize_instance(inst)) == inst
+            again = parse_instance(serialize_instance(inst))
+            assert again == inst
+            assert_built_as_public(again, inst)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10 ** 6))
@@ -218,7 +242,8 @@ def _commented(text):
 
 class TestTokenizerBranches:
     """Serialized files take the plain ``str.split`` path; whitespace inside
-    braces and comments take the regex path.  Both give the same instance."""
+    braces and comments take the regex path.  Both give the same instance,
+    holding what the public constructors build."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("kind", KINDS)
@@ -228,11 +253,14 @@ class TestTokenizerBranches:
         again = parse_instance(text)
         assert again == inst
         assert serialize_instance(again) == text
+        assert_built_as_public(again, inst)
         ranged = _as_ranges(text)
         assert ".." in ranged
         for variant in (ranged, _spaced(text), _spaced(ranged), _commented(ranged),
                         ranged.replace(" ", "\t").replace("\n", "\r\n")):
-            assert parse_instance(variant) == inst
+            again = parse_instance(variant)
+            assert again == inst
+            assert_built_as_public(again, inst)
 
 
 class TestDecompositionFiles:
