@@ -204,7 +204,7 @@ def _cmd_tw(args) -> int:
     if args.mode == "addition":
         answer = solve_with_addition(g, args.r)
     else:
-        td = parse_decomposition(_read(args.td)) if args.td else None
+        td = parse_decomposition(_read(args.td)) if args.td is not None else None
         fn = solve_induced_regular if args.mode == "induced" else solve_regular_subgraph
         answer = fn(g, args.r, td)
     print("YES" if answer else "NO")

@@ -14,14 +14,17 @@ result, so one universe serves every kind, and a candidate is tested with
 ``problems.violations``, the one definition of what each kind checks.
 
 A universe is built one frame at a time.  A frame is one set of vertex
-deletions; it holds the surviving graph once, as an edge flag, a weighted
-degree per vertex and a common-neighbour count per vertex pair.  Edge
-deletions, then edge additions, are walked depth-first on that one graph:
-toggling uv updates the degrees of u and v and the counts of the pairs
-through u or v, and the walk undoes it on the way back.  Each candidate's
-measures are read off those counts in the frame's lexicographic pair order;
-the tests pin them to ``problems.measures`` of the edited graph.  A
-universe stores each step tuple, vertex pair and distinct measure tuple
+deletions; it holds the surviving graph once, as a weighted degree per
+vertex.  Edge deletions, then edge additions, are walked depth-first on
+those degrees: toggling uv changes the degrees of u and v and flips uv's
+bit in the edge-presence mask passed down the walk, and the walk undoes
+the degrees on the way back.  Each candidate keeps its degrees and its
+mask; its edge fields, and its common-neighbour counts (from
+``problems.measures``), are derived the first time they are read.  Most
+candidates fail a vertex-degree test, which ``violations`` runs first, so
+their pair measures are never derived.  The tests pin every field to
+``problems.measures`` of the edited graph, whichever field is read first.
+A universe stores each step tuple, vertex pair and distinct measure tuple
 once; its candidates share them.
 """
 
@@ -38,9 +41,11 @@ from .problems import (
     EADD,
     EDEL,
     VDEL,
+    WSRE,
     EditScript,
     Measures,
     ProblemInstance,
+    measures,
     step_sort_key,
     violations,
 )
@@ -75,18 +80,73 @@ def _weighted_subsets(items, cap):
     return out
 
 
+class _Frame:
+    """What the candidates of one frame share: the surviving vertices, their
+    pairs in lexicographic order with the vertex indices of each pair, the
+    graph's edge weights and the universe's tuple table."""
+
+    __slots__ = ("verts", "pairs", "ends", "weights", "table")
+
+    def __init__(self, verts, pairs, ends, weights, table):
+        self.verts = verts
+        self.pairs = pairs
+        self.ends = ends
+        self.weights = weights
+        self.table = table
+
+    def shared(self, t):
+        """The universe's one copy of tuple ``t``."""
+        return self.table.setdefault(t, t)
+
+    def flags(self, present):
+        """Is pair p an edge?  One flag per pair, from the bits of ``present``."""
+        return [present >> p & 1 for p in range(len(self.pairs))]
+
+
 class _Candidate:
     """One edit set (cost, canonical steps, operation mask) plus the
-    ``Measures`` fields of its result, in ``Measures`` order."""
+    ``Measures`` fields of its result, in ``Measures`` order.
 
-    __slots__ = ("cost", "steps", "mask") + Measures._fields
+    The walk sets ``verts``, ``wdeg`` and ``present``, one bit per pair of
+    the frame that is an edge of the result.  The edge fields, then the
+    common-neighbour fields, are derived from those on their first read."""
 
-    def __init__(self, cost, steps, mask, fields):
+    __slots__ = ("cost", "steps", "mask", "frame", "present") + Measures._fields
+
+    def __init__(self, cost, steps, mask, frame, wdeg, present):
         self.cost = cost
         self.steps = steps
         self.mask = mask
-        (self.verts, self.wdeg, self.edges, self.edeg, self.ecom, self.pairs,
-         self.pcom) = fields
+        self.frame = frame
+        self.verts = frame.verts
+        self.wdeg = wdeg
+        self.present = present
+
+    def __getattr__(self, name):
+        # reached only for a name that is not set: each field is derived once
+        if name in ("edges", "edeg"):
+            fr = self.frame
+            on = fr.flags(self.present)
+            wd = self.wdeg
+            self.edges = fr.shared(tuple(compress(fr.pairs, on)))
+            self.edeg = fr.shared(tuple([wd[i] + wd[j] for i, j in compress(fr.ends, on)]))
+        elif name in ("ecom", "pairs", "pcom"):
+            fr = self.frame
+            edges = self.edges
+            adj = {v: set() for v in fr.verts}
+            for u, v in edges:
+                adj[u].add(v)
+                adj[v].add(u)
+            m = measures(fr.verts, edges, adj, fr.weights, WSRE)
+            self.ecom = fr.shared(m.ecom)
+            # m.pairs, but made of the frame's pair tuples, which the
+            # universe holds once
+            self.pairs = fr.shared(tuple(compress(
+                fr.pairs, [not x for x in fr.flags(self.present)])))
+            self.pcom = fr.shared(m.pcom)
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
 
 @lru_cache(maxsize=128)
@@ -102,7 +162,8 @@ def _universe(g: WeightedGraph, cap: int, include_adds: bool):
     step_key = {s: step_sort_key(s)
                 for d in (vstep, pstep) for s in d.values()}.__getitem__
     # candidates share step and measure tuples, so cached universes stay small
-    shared = {}.setdefault
+    table = {}
+    shared = table.setdefault
     out = []
 
     def frame(dv, cv):
@@ -111,85 +172,45 @@ def _universe(g: WeightedGraph, cap: int, include_adds: bool):
         verts = tuple(v for v in all_vs if v not in gone)
         pairs = tuple(p for p in all_pairs if p[0] not in gone and p[1] not in gone)
         at = {v: i for i, v in enumerate(verts)}
-        ends = [(at[u], at[v]) for u, v in pairs]
-        index = [[0] * len(verts) for _ in verts]
-        for p, (i, j) in enumerate(ends):
-            index[i][j] = index[j][i] = p
-        steps_of = [pstep[p] for p in pairs]
-        # the mutable graph: edge flags per pair, neighbour sets, weighted
-        # degrees and a common-neighbour count per pair
-        present = [p in ew for p in pairs]
-        absent = [not x for x in present]
-        nbr = [set() for _ in verts]
+        ends = tuple([(at[u], at[v]) for u, v in pairs])
+        fr = _Frame(verts, pairs, ends, ew, table)
+        # the mutable graph is its weighted degrees; edge presence is a bit
+        # per pair, passed down the walk
         wdeg = [0] * len(verts)
-        # (pair, weight, toggled on?, mask bit): every edge deletion, then
-        # every addition, so the steps of a walk come out in canonical order
+        present = 0
+        # (i, j, weight, degree change, pair bit, step, mask bit): every edge
+        # deletion, then every addition, so the steps of a walk come out in
+        # canonical order
         moves = []
         for p, (i, j) in enumerate(ends):
-            if present[p]:
-                w = ew[pairs[p]]
-                nbr[i].add(j)
-                nbr[j].add(i)
+            w = ew.get(pairs[p])
+            if w is not None:
                 wdeg[i] += w
                 wdeg[j] += w
-                moves.append((p, w, False, 2))
+                present |= 1 << p
+                moves.append((i, j, w, -w, 1 << p, pstep[pairs[p]], 2))
         if include_adds:
-            moves += [(p, 1, True, 4) for p, x in enumerate(absent) if x]
-        com = [len(nbr[i] & nbr[j]) for i, j in ends]
+            moves += [(i, j, 1, 1, 1 << p, pstep[pairs[p]], 4)
+                      for p, (i, j) in enumerate(ends) if not present >> p & 1]
 
-        def toggle(p, w, on):
-            """Add (``on``) or delete pair ``p`` as an edge of weight ``w``."""
-            i, j = ends[p]
-            ni, nj = nbr[i], nbr[j]
-            present[p] = on
-            absent[p] = not on
-            if on:
-                ni.add(j)
-                nj.add(i)
-                c = 1
-            else:
-                ni.discard(j)
-                nj.discard(i)
-                c = -1
-            wdeg[i] += c * w
-            wdeg[j] += c * w
-            # while ij is an edge, i is a common neighbour of j and each other
-            # neighbour of i, and j one of i and each other neighbour of j
-            row = index[j]
-            for x in ni:
-                if x != j:
-                    com[row[x]] += c
-            row = index[i]
-            for x in nj:
-                if x != i:
-                    com[row[x]] += c
-
-        def emit(cost, steps, mask):
-            """Record the current graph as a candidate, reading its
-            ``Measures`` off the counts in the frame's pair order."""
-            wd = tuple(wdeg)
-            out.append(_Candidate(cost, steps, mask, [shared(f, f) for f in (
-                verts,
-                wd,
-                tuple(compress(pairs, present)),
-                tuple([wd[i] + wd[j] for i, j in compress(ends, present)]),
-                tuple(compress(com, present)),
-                tuple(compress(pairs, absent)),
-                tuple(compress(com, absent)),
-            )]))
-
-        def walk(start, rest, cost, steps, mask):
+        def walk(start, rest, cost, steps, mask, present):
             """Emit the current graph, then each subset of ``moves[start:]``
             that fits in ``rest``: one toggle in, its undo on the way back."""
-            emit(cost, steps, mask)
+            wd = tuple(wdeg)
+            out.append(_Candidate(cost, steps, mask, fr, shared(wd, wd), present))
+            if not rest:  # every move costs at least 1
+                return
             for m in range(start, len(moves)):
-                p, w, on, bit = moves[m]
+                i, j, w, dw, bit, step, opbit = moves[m]
                 if w <= rest:
-                    toggle(p, w, on)
-                    walk(m + 1, rest - w, cost + w, steps + (steps_of[p],), mask | bit)
-                    toggle(p, w, not on)
+                    wdeg[i] += dw
+                    wdeg[j] += dw
+                    walk(m + 1, rest - w, cost + w, steps + (step,), mask | opbit,
+                         present ^ bit)
+                    wdeg[i] -= dw
+                    wdeg[j] -= dw
 
-        walk(0, cap - cv, cv, tuple([vstep[v] for v in dv]), 1 if dv else 0)
+        walk(0, cap - cv, cv, tuple([vstep[v] for v in dv]), 1 if dv else 0, present)
 
     for dv, cv in _weighted_subsets([(v, g.vertex_weight(v)) for v in all_vs], cap):
         frame(dv, cv)

@@ -307,25 +307,29 @@ def test_dispatch_matches_the_top_level_parser(argv, monkeypatch, capsys):
 
 
 def _unreadable(fault, path):
-    """Make ``path`` unreadable as ``fault`` says; the stderr that gives."""
+    """An argument naming a file unreadable as ``fault`` says (``path``,
+    made so, or the empty string), and the stderr that gives."""
+    if fault == "empty":
+        return "", "error: [Errno 2] No such file or directory: ''\n"
     if fault == "missing":
-        return f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+        return str(path), f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
     if fault == "directory":
         path.mkdir()
-        return f"error: [Errno 21] Is a directory: {str(path)!r}\n"
+        return str(path), f"error: [Errno 21] Is a directory: {str(path)!r}\n"
     path.write_bytes(b"problem WDCE\n\xff\n")
-    return "error: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte\n"
+    return str(path), ("error: 'utf-8' codec can't decode byte 0xff in position 13: "
+                       "invalid start byte\n")
 
 
 @pytest.mark.parametrize("shape", [
     ["solve", "{bad}"], ["kernelize", "{bad}"], ["oracle", "{bad}"],
     ["verify", "{bad}", "{k13}"], ["verify", "{k13}", "{bad}"],
     ["tw", "{bad}", "-r", "2"], ["tw", "{k13}", "--td", "{bad}", "-r", "2"],
+    ["tw", "{k13}", "--td", "{bad}", "-r", "2", "--mode", "subgraph"],
 ], ids=" ".join)
-@pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8", "empty"])
 def test_unreadable_file_exits_2_with_one_line(fault, shape, k13_file, tmp_path, capsys):
-    bad = tmp_path / "bad.txt"
-    err = _unreadable(fault, bad)
+    bad, err = _unreadable(fault, tmp_path / "bad.txt")
     argv = [a.format(bad=bad, k13=k13_file) for a in shape]
     assert run_cli(argv) == 2
     assert capsys.readouterr() == ("", err)

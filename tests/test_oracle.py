@@ -159,24 +159,54 @@ def _enumerate_edit_sets(g, cap, include_adds):
     return out
 
 
+# Orders to read a fresh candidate's fields in: the edge and pair fields are
+# derived on first read, so the pair fields may come before the edges.
+_READ_ORDERS = (Measures._fields,
+                ("pairs", "pcom", "verts", "wdeg", "edges", "edeg", "ecom"))
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_universe_matches_definition(seed):
     """The universe is every legal edit set of cost <= cap, in (cost,
-    canonical script) order, and its incrementally kept measures are
-    ``problems.measures`` of the edited graph."""
+    canonical script) order, and its measures, read in either order from a
+    fresh universe, are ``problems.measures`` of the edited graph."""
     rng = random.Random(f"universe/{seed}")
     g = _weighted_graph(rng, 1 + seed % 6)
     for cap in range(5):
         for include_adds in (False, True):
-            universe = _universe(g, cap, include_adds)
-            assert [(c.cost, c.steps, c.mask) for c in universe] == \
-                _enumerate_edit_sets(g, cap, include_adds)
-            for cand in universe:
-                edited = apply_edit_script(g, EditScript(cand.steps, cand.cost))
-                m = measures(edited.vertices(), edited.edges(), edited.adjacency(),
-                             edited.edge_weights())
-                assert tuple(getattr(cand, f) for f in Measures._fields) == m, \
-                    (cap, include_adds, cand.steps)
+            expected = _enumerate_edit_sets(g, cap, include_adds)
+            for order in _READ_ORDERS:
+                universe = _universe.__wrapped__(g, cap, include_adds)
+                assert [(c.cost, c.steps, c.mask) for c in universe] == expected
+                for cand in universe:
+                    edited = apply_edit_script(g, EditScript(cand.steps, cand.cost))
+                    m = measures(edited.vertices(), edited.edges(), edited.adjacency(),
+                                 edited.edge_weights())
+                    assert {f: getattr(cand, f) for f in order} == m._asdict(), \
+                        (cap, include_adds, order, cand.steps)
+
+
+def _derived(cand, field):
+    """Is ``field`` of ``cand`` set?  This read derives nothing."""
+    try:
+        object.__getattribute__(cand, field)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_universe_derives_common_counts_on_first_read():
+    """A WERE scan tests vertex degrees first, so only the candidates whose
+    degrees all pass have their common counts derived."""
+    g = random_graph(6, 0.5, seed=8)
+    inst = uniform_instance(WERE, g, r=2, k=2, ops={VDEL, EDEL, EADD}, lam=2)
+    _universe.cache_clear()
+    assert not brute_force_solve(inst).answer
+    universe = _universe(g, 2, True)
+    passed = [c for c in universe if set(c.wdeg) <= {2}]
+    assert 0 < len(passed) < len(universe)
+    for field in ("edges", "ecom", "pairs", "pcom"):
+        assert [c for c in universe if _derived(c, field)] == passed, field
 
 
 @settings(deadline=None, max_examples=60)
