@@ -26,13 +26,14 @@ from .problems import (
     ConstraintSet,
     EditScript,
     ProblemInstance,
+    SolveReport,
     apply_edit_script,
     check_constraints,
 )
-from .oracle import OracleResult, brute_force_solve, enumerate_labeled_graphs
+from .oracle import brute_force_solve, enumerate_labeled_graphs
 from .kernelize import CleanRegion, KernelTrace, find_clean_regions, kernel_bound, kernelize
-from .search_tree import (SolveReport, solve, solve_wdce_bst, solve_wedce_bst,
-                          solve_were_bst, solve_wsre, tr)
+from .search_tree import (solve, solve_wdce_bst, solve_wedce_bst, solve_were_bst,
+                          solve_wsre, tr)
 from .treewidth import (
     TreeDecomposition,
     greedy_decomposition,
@@ -48,7 +49,6 @@ __all__ = [
     "ConstraintSet",
     "ProblemInstance",
     "EditScript",
-    "OracleResult",
     "weighted_degree",
     "weighted_edge_degree",
     "common_neighbor_count",

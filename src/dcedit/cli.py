@@ -30,7 +30,6 @@ from typing import Dict, List, Tuple
 
 from .graphs import WeightedGraph, complete, cycle, petersen, random_graph
 from .instance_io import (
-    ParseError,
     parse_decomposition,
     parse_instance,
     parse_script,
@@ -104,21 +103,19 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _print_answer(witness: EditScript) -> None:
-    print(f"YES cost={witness.cost}")
-    sys.stdout.write(serialize_script(witness))
-
-
 def _cmd_solve(args) -> int:
+    """``solve``, or for ``oracle`` the exhaustive answer, which has no --stats."""
     inst = parse_instance(_read(args.file))
-    rep = solve(inst)
+    oracle = args.command == "oracle"
+    rep = brute_force_solve(inst) if oracle else solve(inst)
     if rep.answer:
-        _print_answer(rep.witness)
+        print(f"YES cost={rep.witness.cost}")
+        sys.stdout.write(serialize_script(rep.witness))
         code = 0
     else:
         print("NO")
         code = 1
-    if args.stats:
+    if not oracle and args.stats:
         print(f"nodes_visited={rep.nodes_visited}", file=sys.stderr)
         bound = rep.tree_bound if rep.tree_bound is not None else "-"
         print(f"tree_bound={bound}", file=sys.stderr)
@@ -160,16 +157,6 @@ def _cmd_verify(args) -> int:
         return 1
     print(f"OK cost={script.cost}")
     return 0
-
-
-def _cmd_oracle(args) -> int:
-    inst = parse_instance(_read(args.file))
-    res = brute_force_solve(inst)
-    if res.answer:
-        _print_answer(res.witness)
-        return 0
-    print("NO")
-    return 1
 
 
 def _gen_graph(args) -> WeightedGraph:
@@ -215,7 +202,7 @@ _COMMANDS = {
     "solve": _cmd_solve,
     "kernelize": _cmd_kernelize,
     "verify": _cmd_verify,
-    "oracle": _cmd_oracle,
+    "oracle": _cmd_solve,
     "gen": _cmd_gen,
     "tw": _cmd_tw,
 }
@@ -240,9 +227,6 @@ def run_cli(argv: List[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # malformed input must never escape as a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,10 +8,10 @@ neighbours, and layer C_i holds the region vertices at distance i from
 B(C) (distances measured in the whole graph; layers start at 1).
 
 ``_RULES`` is the one table of which (kind, ops) pairs each rule covers.
-A public rule (``rr1_high_degree`` .. ``rr6_shrink_wsre``) refuses a pair
-its row does not cover; ``kernelize`` runs the rules that cover the
-instance, in name order.  Rule 1 looks at single vertices; rules 2-6 are
-steps on one clean region.  One round tries rule 1, then builds the clean
+The public rules are the ``RULES_BY_NAME`` entries built from it, one per
+row (``rr1`` .. ``rr6``); each refuses a pair its row does not cover, and
+``kernelize`` runs the rules that cover the instance, in name order.
+Rule 1 looks at single vertices; rules 2-6 are steps on one clean region.  One round tries rule 1, then builds the clean
 regions once and offers them to each covered region step in turn; the
 first rule that fires ends the round with ``(new_instance, TraceStep)``.
 ``kernelize`` repeats rounds until none fires.
@@ -210,6 +210,7 @@ def _rescuable(inst: ProblemInstance, v) -> bool:
 
 
 def _high_degree(inst: ProblemInstance):
+    """Rule 1: delete a vertex whose weighted degree cannot be repaired."""
     g = inst.graph
     for v in g.vertices():
         if weighted_degree(g, v) > inst.k + inst.constraints.r and \
@@ -223,6 +224,7 @@ def _high_degree(inst: ProblemInstance):
 
 
 def _drop_isolated(inst: ProblemInstance, region: CleanRegion, rule: str):
+    """Rule 2: remove one whole clean region with no external neighbours."""
     if region.boundary:
         return None
     keep = set(inst.graph.vertices()) - region.vertices
@@ -230,6 +232,7 @@ def _drop_isolated(inst: ProblemInstance, region: CleanRegion, rule: str):
 
 
 def _cut_deep_layers(inst: ProblemInstance, region: CleanRegion, rule: str):
+    """Rule 3: delete layers C_i, i >= k+2; re-pin delta on frontier edges."""
     k = inst.k
     if not region.boundary or len(region.layers) < k + 2:
         return None
@@ -252,6 +255,9 @@ def _cut_deep_layers(inst: ProblemInstance, region: CleanRegion, rule: str):
 
 
 def _contract(inst: ProblemInstance, region: CleanRegion, rule: str):
+    """Rule 4: replace a clean region by a fresh edge uv; boundary weights
+    are the exact sums of the replaced edges, the internal weight clamps at
+    k+1."""
     if len(region.vertices) < 2 or not region.boundary or \
             _already_contracted(inst, region):
         return None
@@ -297,8 +303,9 @@ def _already_contracted(inst: ProblemInstance, region: CleanRegion) -> bool:
 
 def _shrink_region(inst: ProblemInstance, region: CleanRegion, rule: str,
                    depth: int):
-    """Keep layers 1..depth, clique them, re-pin constraints, absorb the
-    deleted weight onto the lowest-id kept vertex."""
+    """Rules 5 and 6: shrink a WERE (depth 1) or WSRE (depth 2) clean region
+    to a patched clique on its layers 1..depth; absorb the deleted weight
+    onto the lowest-id kept vertex."""
     if not region.boundary:
         return None
     g = inst.graph
@@ -375,6 +382,7 @@ def _round(inst: ProblemInstance, rules: Tuple[str, ...]):
 
 
 def _apply(rule: str, inst: ProblemInstance):
+    """``rule`` alone on inst, refusing a pair its row does not cover."""
     if not _covers(rule, inst):
         ops = ", ".join(sorted(inst.ops))
         raise ValueError(f"{rule} does not cover ({inst.kind}, {{{ops}}})")
@@ -382,45 +390,7 @@ def _apply(rule: str, inst: ProblemInstance):
     return _round(inst, (rule,))
 
 
-def rr1_high_degree(inst: ProblemInstance):
-    """Delete a vertex whose weighted degree provably cannot be repaired."""
-    return _apply("rr1", inst)
-
-
-def rr2_isolated_clean(inst: ProblemInstance):
-    """Remove one whole clean region that has no external neighbours."""
-    return _apply("rr2", inst)
-
-
-def rr3_deep_clean_wedce(inst: ProblemInstance):
-    """Delete layers C_i, i >= k+2, then re-pin delta on the frontier edges."""
-    return _apply("rr3", inst)
-
-
-def rr4_contract_clean_wedce_edel(inst: ProblemInstance):
-    """Replace a clean region by a fresh edge uv; boundary weights are the
-    exact sums of the replaced edges, the internal weight clamps at k+1."""
-    return _apply("rr4", inst)
-
-
-def rr5_shrink_were(inst: ProblemInstance):
-    """Shrink a WERE clean region to a patched clique on its first layer."""
-    return _apply("rr5", inst)
-
-
-def rr6_shrink_wsre(inst: ProblemInstance):
-    """Shrink a WSRE clean region to a patched clique on layers 1 and 2."""
-    return _apply("rr6", inst)
-
-
-RULES_BY_NAME = {
-    "rr1": rr1_high_degree,
-    "rr2": rr2_isolated_clean,
-    "rr3": rr3_deep_clean_wedce,
-    "rr4": rr4_contract_clean_wedce_edel,
-    "rr5": rr5_shrink_were,
-    "rr6": rr6_shrink_wsre,
-}
+RULES_BY_NAME = {rule: partial(_apply, rule) for rule in _RULES}
 
 
 def kernelize(inst: ProblemInstance):

@@ -6,6 +6,8 @@ sets; the reported witness is serialized in canonical order).  Edge
 deletion always removes the whole edge at its full weight; additions are
 unit-weight, joined only pairs non-adjacent in the input graph with both
 endpoints surviving (re-adding a just-deleted edge is never minimal).
+It answers with a ``problems.SolveReport``, as the search trees do, with
+0 nodes visited and no ``tr`` bound.
 
 Enumeration is cached per (graph, budget, adds?) so sweeping many
 constraint sets over one graph — the typical test workload — prices each
@@ -31,10 +33,9 @@ once; its candidates share them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .graphs import WeightedGraph
 from .problems import (
@@ -45,6 +46,7 @@ from .problems import (
     EditScript,
     Measures,
     ProblemInstance,
+    SolveReport,
     measures,
     step_sort_key,
     violations,
@@ -54,12 +56,6 @@ ORACLE_MAX_VERTICES = 10
 ORACLE_MAX_BUDGET = 6
 
 _MASK = {VDEL: 1, EDEL: 2, EADD: 4}
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    answer: bool
-    witness: Optional[EditScript]
 
 
 def _weighted_subsets(items, cap):
@@ -222,7 +218,7 @@ def _candidate_satisfies(inst: ProblemInstance, cand: _Candidate) -> bool:
     return next(violations(inst, cand), None) is None
 
 
-def brute_force_solve(inst: ProblemInstance) -> OracleResult:
+def brute_force_solve(inst: ProblemInstance) -> SolveReport:
     """First satisfying edit set in (cost, canonical order), else a no."""
     if inst.graph.n > ORACLE_MAX_VERTICES or inst.k > ORACLE_MAX_BUDGET:
         warnings.warn(
@@ -231,7 +227,7 @@ def brute_force_solve(inst: ProblemInstance) -> OracleResult:
             stacklevel=2,
         )
     if inst.k < 0:
-        return OracleResult(False, None)
+        return SolveReport(False, None, 0, None)
     include_adds = EADD in inst.ops
     opsmask = 0
     for op in inst.ops:
@@ -242,8 +238,8 @@ def brute_force_solve(inst: ProblemInstance) -> OracleResult:
         if cand.mask & ~opsmask:
             continue
         if _candidate_satisfies(inst, cand):
-            return OracleResult(True, EditScript(cand.steps, cand.cost))
-    return OracleResult(False, None)
+            return SolveReport(True, EditScript(cand.steps, cand.cost), 0, None)
+    return SolveReport(False, None, 0, None)
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[WeightedGraph]:

@@ -377,6 +377,15 @@ class EditScript:
         return iter(self.steps)
 
 
+@dataclass(frozen=True)
+class SolveReport:
+    """An answer, its witness, the nodes visited and their ``tr`` ceiling."""
+    answer: bool
+    witness: Optional[EditScript]
+    nodes_visited: int
+    tree_bound: Optional[int]
+
+
 def _apply_steps(g: WeightedGraph, steps: Tuple[tuple, ...]):
     """Replay ``steps`` on copies of ``g``'s weight and adjacency maps;
     return the edited vertex weights, edge weights and the total cost."""

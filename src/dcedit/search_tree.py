@@ -38,7 +38,6 @@ leaf rejects: the engine counts it as a node and makes no edit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .graphs import WeightedGraph, edge_key
@@ -52,16 +51,9 @@ from .problems import (
     WSRE,
     EditScript,
     ProblemInstance,
+    SolveReport,
     canonical_steps,
 )
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    answer: bool
-    witness: Optional[EditScript]
-    nodes_visited: int
-    tree_bound: Optional[int]
 
 
 def tr(b: int, k: int) -> int:
@@ -266,9 +258,10 @@ def _search(inst: ProblemInstance, cls: type) -> SolveReport:
     nodes = 0
     hit: Optional[tuple] = None
 
-    def recurse(k: int, steps: tuple) -> bool:
+    def node(k: int, steps: tuple):
         """Search from the current graph; the caller undoes what this node
-        and its forced deletions leave on the trail."""
+        and its forced deletions leave on the trail.  It yields each child's
+        (budget, steps) after its deletion and is sent the child's result."""
         nonlocal nodes, hit
         nodes += 1
         if k < 0:
@@ -296,13 +289,21 @@ def _search(inst: ProblemInstance, cls: type) -> SolveReport:
             if cost == k and strategy.stranded(g.reach(op, ref)):
                 nodes += 1  # a leaf that rejects: see the module docstring
                 continue
-            found = recurse(k - cost, _edit(op, ref, g, steps))
+            found = yield k - cost, _edit(op, ref, g, steps)
             g.undo_to(mark)
             if found:
                 return True
         return False
 
-    answer = recurse(inst.k, ())
+    # one loop drives a stack of nodes, so the depth is not Python's limit
+    stack, answer = [node(inst.k, ())], None
+    while stack:
+        try:
+            stack.append(node(*stack[-1].send(answer)))
+            answer = None
+        except StopIteration as done:
+            stack.pop()
+            answer = done.value
     witness = EditScript.build(inst.graph, canonical_steps(hit)) if answer else None
     bound = tr(strategy.factor(inst.constraints.r, allow_e), max(inst.k, 0))
     return SolveReport(answer, witness, nodes, bound)
@@ -522,5 +523,4 @@ def solve(inst: ProblemInstance) -> SolveReport:
         entry = {WDCE: solve_wdce_bst, WEDCE: solve_wedce_bst,
                  WERE: solve_were_bst, WSRE: solve_wsre}
         return entry[inst.kind](inst)
-    res = brute_force_solve(inst)
-    return SolveReport(res.answer, res.witness, 0, None)
+    return brute_force_solve(inst)

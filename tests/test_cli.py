@@ -283,7 +283,7 @@ DISPATCH_TABLE = [
     ["solve", "f", "-h"], ["solve", "f", "--bogus", "--help"],
     ["solve", "--", "f"], ["solve", "f", "--", "--stats"], ["solve", "--", "--stats"],
     ["verify", "--", "f", "s"], ["solve", "f", "--"], ["gen", "cycle", "--", "5", "-1"],
-    ["solve", "f", "solve"], ["solve", "-"],
+    ["solve", "f", "solve"], ["solve", "-"], ["oracle", "f", "--stats"],
 ]
 
 

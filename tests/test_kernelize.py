@@ -17,12 +17,6 @@ from dcedit.kernelize import (
     kernel_bound,
     kernelize,
     replay_trace,
-    rr1_high_degree,
-    rr2_isolated_clean,
-    rr3_deep_clean_wedce,
-    rr4_contract_clean_wedce_edel,
-    rr5_shrink_were,
-    rr6_shrink_wsre,
 )
 from dcedit.oracle import brute_force_solve
 from dcedit.problems import (
@@ -37,6 +31,10 @@ from dcedit.problems import (
 )
 
 from conftest import exact_instance, star_graph, uniform_instance
+
+(rr1_high_degree, rr2_isolated_clean, rr3_deep_clean_wedce,
+ rr4_contract_clean_wedce_edel, rr5_shrink_were, rr6_shrink_wsre) = (
+    RULES_BY_NAME[f"rr{i}"] for i in range(1, 7))
 
 
 def wedce(g, delta_e, r, k, ops=frozenset({VDEL, EDEL})):

@@ -138,6 +138,18 @@ class TestWdceBst:
         with pytest.raises(ValueError):
             solve_wdce_bst(uniform_instance(WERE, c5, r=2, k=1, ops={VDEL}, lam=0))
 
+    def test_search_deeper_than_the_recursion_limit(self):
+        # every edge of a 1,100-vertex path must go, one node per edit on
+        # the path to the hit: deeper than Python's default recursion limit
+        n = 1100
+        g = WeightedGraph({v: 1 for v in range(n)},
+                          {(v, v + 1): 1 for v in range(n - 1)})
+        inst = uniform_instance(WDCE, g, r=0, k=n - 1, ops={EDEL})
+        rep = solve(inst)
+        assert rep.answer and rep.witness.cost == n - 1
+        assert rep.nodes_visited == n
+        assert check_constraints(inst, apply_edit_script(g, rep.witness))
+
 
 class TestWereBst:
     def test_c5_is_already_edge_regular(self, c5):
@@ -272,6 +284,7 @@ class TestDispatcher:
         rep = solve(inst)
         assert rep.answer and rep.witness.steps == (("eadd", 0, 1),)
         assert rep.tree_bound is None
+        assert rep == brute_force_solve(inst) and rep.nodes_visited == 0
 
     def test_wide_lists_report_bound(self, c5):
         cs = ConstraintSet(r=3, lam=1, mu=1,
