@@ -10,16 +10,18 @@ B(C) (distances measured in the whole graph; layers start at 1).
 ``_RULES`` is the one table of which (kind, ops) pairs each rule covers.
 The public rules are the ``RULES_BY_NAME`` entries built from it, one per
 row (``rr1`` .. ``rr6``); each refuses a pair its row does not cover, and
-``kernelize`` runs the rules that cover the instance, in name order.
-Rule 1 looks at single vertices; rules 2-6 are steps on one clean region.  One round tries rule 1, then builds the clean
-regions once and offers them to each covered region step in turn; the
-first rule that fires ends the round with ``(new_instance, TraceStep)``.
-``kernelize`` repeats rounds until none fires.
+``kernelize`` runs the rules that cover the instance, in name order.  Rule
+1 looks at single vertices; rules 2-6 are steps on one clean region.  One
+round tries rule 1, then builds the clean regions once and offers them to
+each covered region step in turn; the first rule that fires ends the round
+with ``(new_instance, TraceStep)``.  ``kernelize`` repeats rounds until none fires.
 
 The *-variant check runs once when a public rule or ``kernelize`` is
 entered; after that only ``find_clean_regions`` checks it, once per round.
-Every rule pins the lists it rewrites to singletons, so a *-variant
-instance stays one.
+Rules 3-6 pin each list with an end in the vertices their rewrite disturbs
+to its new measure (``problems.pinned_lists``): C_{k+1} for rule 3, the
+fresh vertex u for rule 4, the kept layers for rules 5 and 6.  Rules 1 and 2
+only delete, so a *-variant instance stays one.
 
 Two deliberate differences from the naive rule statements, both forced by
 answer preservation on weighted instances (see the repository notes):
@@ -39,15 +41,16 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Tuple
 
-from .graphs import edge_key, weighted_degree
 from .problems import (
     EDEL,
     VDEL,
+    WDCE,
     WEDCE,
     WERE,
     WSRE,
     ProblemInstance,
     measures,
+    pinned_lists,
     star_violation,
     violations,
 )
@@ -144,14 +147,13 @@ def find_clean_regions(inst: ProblemInstance) -> List[CleanRegion]:
 
 
 def _rewrite(inst: ProblemInstance, graph, rule: str, affected, k_delta=0,
-             **pins):
+             near=frozenset()):
     """``inst`` moved onto ``graph`` with budget k + k_delta, and its step.
 
-    Stored constraint entries that mention deleted vertices are dropped and
-    ``pins`` (new lists, keyed by map name: delta_v, delta_e, nu, xi) are
-    merged in over them.  Structural rules pin constraints to degree sums or
-    common-neighbour counts of the rewritten graph, and clique completion
-    can push those past the original bounds, so r / lambda / mu widen to
+    Stored constraint entries that mention deleted vertices are dropped, and
+    every list with an end in the vertex set ``near`` is pinned to its
+    measure on ``graph`` (``pinned_lists``).  Clique completion can push
+    those measures past the original bounds, so r / lambda / mu widen to
     cover the pins.  Widening is sound on *-variant instances: every
     consulted list is an explicit singleton (or a singleton default), so
     the wider full-range fallbacks are never consulted.
@@ -162,6 +164,7 @@ def _rewrite(inst: ProblemInstance, graph, rule: str, affected, k_delta=0,
     for name in ("delta_e", "nu", "xi"):
         maps[name] = {p: s for p, s in getattr(cs, name).items()
                       if p[0] in alive and p[1] in alive}
+    pins = pinned_lists(inst.kind, graph, near) if near else {}
     for name, pinned in pins.items():
         maps[name].update(pinned)
 
@@ -181,20 +184,16 @@ def _rewrite(inst: ProblemInstance, graph, rule: str, affected, k_delta=0,
 # -- rule 1: unsalvageable high-degree vertices -----------------------------
 
 
-def _rescuable(inst: ProblemInstance, v) -> bool:
-    """Can some affordable set of incident-edge removals bring d(v) to <= r?
+def _rescuable(inst: ProblemInstance, v, d: int) -> bool:
+    """Can some affordable set of incident-edge removals bring v's weighted
+    degree d > k + r down to r?
 
     Each incident edge uv can disappear by deleting it (cost rho(uv), if
     edge deletion is allowed) or by deleting the neighbour u (cost rho(u)).
     A 0/1 knapsack over those options maximises removable weight within
-    budget k; v is doomed iff even that maximum leaves d(v) above r.
+    budget k >= 0; v is doomed iff even that maximum leaves d above r.
     """
-    g, cs = inst.graph, inst.constraints
-    d = weighted_degree(g, v)
-    shortfall = d - cs.r
-    if shortfall <= 0:
-        return True
-    cap = max(inst.k, 0)
+    g, cap = inst.graph, inst.k
     allow_edel = EDEL in inst.ops
     best = [0] * (cap + 1)
     for u in g.neighbors(v):
@@ -206,15 +205,15 @@ def _rescuable(inst: ProblemInstance, v) -> bool:
             cand = best[c - cost] + w
             if cand > best[c]:
                 best[c] = cand
-    return best[cap] >= shortfall
+    return best[cap] >= d - inst.constraints.r
 
 
 def _high_degree(inst: ProblemInstance):
     """Rule 1: delete a vertex whose weighted degree cannot be repaired."""
     g = inst.graph
-    for v in g.vertices():
-        if weighted_degree(g, v) > inst.k + inst.constraints.r and \
-                not _rescuable(inst, v):
+    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights(), WDCE)
+    for v, d in zip(m.verts, m.wdeg):
+        if d > inst.k + inst.constraints.r and not _rescuable(inst, v, d):
             cost = g.vertex_weight(v)
             return _rewrite(inst, g.delete_vertex(v), "rr1", (v,), -cost)
     return None
@@ -232,7 +231,8 @@ def _drop_isolated(inst: ProblemInstance, region: CleanRegion, rule: str):
 
 
 def _cut_deep_layers(inst: ProblemInstance, region: CleanRegion, rule: str):
-    """Rule 3: delete layers C_i, i >= k+2; re-pin delta on frontier edges."""
+    """Rule 3: delete layers C_i, i >= k+2; re-pin delta on the edges of
+    C_{k+1}, whose other ends lie in C_k (the boundary when k = 0) or C_{k+1}."""
     k = inst.k
     if not region.boundary or len(region.layers) < k + 2:
         return None
@@ -240,28 +240,21 @@ def _cut_deep_layers(inst: ProblemInstance, region: CleanRegion, rule: str):
     for layer in region.layers[k + 1:]:
         doomed |= layer
     keep = set(inst.graph.vertices()) - doomed
-    new_g = inst.graph.subgraph(keep)
-    frontier = region.layer(k + 1)
-    # the frontier's surviving neighbours: C_{k+1} itself and the layer
-    # above it (the boundary itself when k = 0)
-    inward = region.layer(k) if k >= 1 else region.boundary
-    delta_e = {}
-    for u in sorted(frontier):
-        for v in sorted(new_g.neighbors(u)):
-            if v in frontier or v in inward:
-                d = weighted_degree(new_g, u) + weighted_degree(new_g, v)
-                delta_e[edge_key(u, v)] = frozenset((d,))
-    return _rewrite(inst, new_g, rule, sorted(doomed), delta_e=delta_e)
+    return _rewrite(inst, inst.graph.subgraph(keep), rule, sorted(doomed),
+                    near=region.layer(k + 1))
 
 
 def _contract(inst: ProblemInstance, region: CleanRegion, rule: str):
     """Rule 4: replace a clean region by a fresh edge uv; boundary weights
     are the exact sums of the replaced edges, the internal weight clamps at
-    k+1."""
+    k+1.  The fresh ids follow the largest id, so the ids must be integers."""
     if len(region.vertices) < 2 or not region.boundary or \
             _already_contracted(inst, region):
         return None
     g = inst.graph
+    if not all(isinstance(v, int) for v in g.vertices()):
+        raise ValueError(f"{rule} names its new vertices after the largest id, "
+                         "so it needs integer vertex ids")
     comp = region.vertices
     fresh = max(g.vertices()) + 1
     u_new, v_new = fresh, fresh + 1
@@ -275,13 +268,8 @@ def _contract(inst: ProblemInstance, region: CleanRegion, rule: str):
     for b in sorted(region.boundary):
         w = sum(g.edge_weight(b, c) for c in g.neighbors(b) & comp)
         new_g = new_g.add_edge(b, u_new, w)
-    du = weighted_degree(new_g, u_new)
-    delta_e = {edge_key(u_new, v_new):
-               frozenset((du + weighted_degree(new_g, v_new),))}
-    for b in sorted(region.boundary):
-        delta_e[edge_key(b, u_new)] = frozenset((weighted_degree(new_g, b) + du,))
     return _rewrite(inst, new_g, rule, sorted(comp) + [u_new, v_new],
-                    delta_e=delta_e)
+                    near={u_new})
 
 
 def _already_contracted(inst: ProblemInstance, region: CleanRegion) -> bool:
@@ -325,15 +313,7 @@ def _shrink_region(inst: ProblemInstance, region: CleanRegion, rule: str,
         new_g = new_g.set_vertex_weight(
             carrier, min(inst.k + 1, g.vertex_weight(carrier) + absorbed)
         )
-    m = measures(new_g.vertices(), new_g.edges(), new_g.adjacency(),
-                 new_g.edge_weights(), inst.kind)
-    delta_v = {v: {d} for v, d in zip(m.verts, m.wdeg) if v in kept}
-    nu = {e: {c} for e, c in zip(m.edges, m.ecom) if kept.intersection(e)}
-    xi = {}
-    if inst.kind == WSRE:
-        xi = {p: {c} for p, c in zip(m.pairs, m.pcom) if kept.intersection(p)}
-    got = _rewrite(inst, new_g, rule, sorted(region.vertices),
-                   delta_v=delta_v, nu=nu, xi=xi)
+    got = _rewrite(inst, new_g, rule, sorted(region.vertices), near=kept)
     return None if got[0] == inst else got
 
 

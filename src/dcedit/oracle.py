@@ -233,8 +233,6 @@ def brute_force_solve(inst: ProblemInstance) -> SolveReport:
     for op in inst.ops:
         opsmask |= _MASK[op]
     for cand in _universe(inst.graph, inst.k, include_adds):
-        if cand.cost > inst.k:
-            break
         if cand.mask & ~opsmask:
             continue
         if _candidate_satisfies(inst, cand):

@@ -9,8 +9,9 @@ The four problem kinds share one instance model:
 * ``WSRE``  — WERE plus a list xi(u,v) on non-adjacent pairs.
 
 ``measures`` and ``violations`` are the one definition of what each kind
-checks; ``check_constraints``, the oracle, the clean-region finder and
-``exact_instance`` read them.  The search trees keep incremental checks of
+checks; ``check_constraints``, the oracle and the clean-region finder read
+them.  ``pinned_lists`` pins lists to the measures, for ``exact_instance``
+and for the reduction rules.  The search trees keep incremental checks of
 their own, so the oracle is an independent reference for them.
 
 Allowed operations are vertex deletion, edge deletion and edge addition
@@ -313,25 +314,37 @@ def uniform_instance(kind: str, g: WeightedGraph, r: int, k: int, ops: Iterable[
     return ProblemInstance(kind=kind, graph=g, constraints=cs, ops=ops, k=k)
 
 
+def pinned_lists(kind: str, g: WeightedGraph, near=None) -> Dict[str, dict]:
+    """Each list ``kind`` consults on ``g`` pinned to the singleton of its
+    current measure, by ``ConstraintSet`` map name (delta_v, delta_e, nu,
+    xi); with a vertex set ``near``, only the elements with an end in it."""
+    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights(), kind)
+
+    def pin(keys, vals, pairs=True):
+        # a vertex id may itself be a tuple (line graphs), so only pairs split
+        return {x: frozenset((c,)) for x, c in zip(keys, vals) if near is None
+                or (x[0] in near or x[1] in near if pairs else x in near)}
+
+    if kind == WEDCE:
+        return {"delta_e": pin(m.edges, m.edeg)}
+    out = {"delta_v": pin(m.verts, m.wdeg, pairs=False)}
+    if kind in (WERE, WSRE):
+        out["nu"] = pin(m.edges, m.ecom)
+    if kind == WSRE:
+        out["xi"] = pin(m.pairs, m.pcom)
+    return out
+
+
 def exact_instance(kind: str, g: WeightedGraph, k: int, ops: Iterable[str]) -> ProblemInstance:
     """Every list pinned to the singleton of g's current measure, so the
-    instance holds as-is; r, lambda and mu are the largest measures."""
-    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights(), kind)
-    if kind == WEDCE:
-        cs = ConstraintSet(r=max(m.edeg, default=0),
-                           delta_e={e: {d} for e, d in zip(m.edges, m.edeg)})
-        return ProblemInstance(kind=kind, graph=g, constraints=cs, ops=ops, k=k)
-    lam = mu = nu = xi = None
-    if kind in (WERE, WSRE):
-        nu = {e: {c} for e, c in zip(m.edges, m.ecom)}
-        lam = max(m.ecom, default=0)
-    if kind == WSRE:
-        xi = {p: {c} for p, c in zip(m.pairs, m.pcom)}
-        mu = max(m.pcom, default=0)
-    cs = ConstraintSet(r=max(m.wdeg, default=0), lam=lam, mu=mu,
-                       delta_v={v: {d} for v, d in zip(m.verts, m.wdeg)}, nu=nu, xi=xi,
-                       nu_default={0} if lam is not None else None,
-                       xi_default={0} if mu is not None else None)
+    instance holds as-is; r, lambda and mu are the largest pinned values."""
+    pins = pinned_lists(kind, g)
+    top = {name: max((x for s in lists.values() for x in s), default=0)
+           for name, lists in pins.items()}
+    lam, mu = top.get("nu"), top.get("xi")
+    cs = ConstraintSet(r=top.get("delta_v", top.get("delta_e")), lam=lam, mu=mu,
+                       nu_default=None if lam is None else {0},
+                       xi_default=None if mu is None else {0}, **pins)
     return ProblemInstance(kind=kind, graph=g, constraints=cs, ops=ops, k=k)
 
 

@@ -12,8 +12,8 @@ WDCE 2r+3 / r+2 on vertex degrees; WEDCE 2r+5 / r+3 on edge degrees; WERE
 pairs (beyond the paper).  The vertex kinds also name doomed vertices, which
 every solution deletes; the engine deletes them before the node branches,
 without counting a node.  Every branch deletes a vertex or a whole edge at
-its full weight, as a solution does, so the edits on the path to an
-accepting node are the witness: within budget, not always the cheapest.
+its full weight, as a solution does, so the deletions on the undo trail at
+an accepting node are the witness: within budget, not always the cheapest.
 Branch sets are chosen greedily so that if no branch element is deleted,
 what survives around the violation pins its value above every reachable
 target: the child count stays within the factor and the search complete.
@@ -201,17 +201,6 @@ class _WorkGraph:
 # -- the engine -------------------------------------------------------------
 
 
-def _edit(op: str, ref, g: _WorkGraph, steps: tuple) -> tuple:
-    """Delete ``ref`` from ``g`` in place and return the steps that reach
-    the new state.  ``ref`` is a vertex for ``vdel`` and an edge key for
-    ``edel``."""
-    if op == VDEL:
-        g.delete_vertex(ref)
-        return steps + ((VDEL, ref),)
-    g.delete_edge(ref)
-    return steps + ((EDEL,) + ref,)
-
-
 class _Strategy:
     """The per-kind part of the search.  Subclasses supply ``kind``;
     ``factor(r, edel)``, the most children a node can have;
@@ -258,10 +247,10 @@ def _search(inst: ProblemInstance, cls: type) -> SolveReport:
     nodes = 0
     hit: Optional[tuple] = None
 
-    def node(k: int, steps: tuple):
+    def node(k: int):
         """Search from the current graph; the caller undoes what this node
         and its forced deletions leave on the trail.  It yields each child's
-        (budget, steps) after its deletion and is sent the child's result."""
+        budget after its deletion and is sent the child's result."""
         nonlocal nodes, hit
         nodes += 1
         if k < 0:
@@ -272,10 +261,12 @@ def _search(inst: ProblemInstance, cls: type) -> SolveReport:
                 return False
             v = min(doomed)
             k -= g.vw[v]
-            steps = _edit(VDEL, v, g, steps)
+            g.delete_vertex(v)
         bad = strategy.violation()
         if bad is None:
-            hit = steps
+            # the deletions on the trail are this node's path from the root
+            hit = canonical_steps((op, ref) if op == VDEL else (op, *ref)
+                                  for op, ref, _ in g.trail if op in (VDEL, EDEL))
             return True
         if k <= 0:
             return False
@@ -289,22 +280,23 @@ def _search(inst: ProblemInstance, cls: type) -> SolveReport:
             if cost == k and strategy.stranded(g.reach(op, ref)):
                 nodes += 1  # a leaf that rejects: see the module docstring
                 continue
-            found = yield k - cost, _edit(op, ref, g, steps)
+            (g.delete_vertex if op == VDEL else g.delete_edge)(ref)
+            found = yield k - cost
             g.undo_to(mark)
             if found:
                 return True
         return False
 
     # one loop drives a stack of nodes, so the depth is not Python's limit
-    stack, answer = [node(inst.k, ())], None
+    stack, answer = [node(inst.k)], None
     while stack:
         try:
-            stack.append(node(*stack[-1].send(answer)))
+            stack.append(node(stack[-1].send(answer)))
             answer = None
         except StopIteration as done:
             stack.pop()
             answer = done.value
-    witness = EditScript.build(inst.graph, canonical_steps(hit)) if answer else None
+    witness = EditScript.build(inst.graph, hit) if answer else None
     bound = tr(strategy.factor(inst.constraints.r, allow_e), max(inst.k, 0))
     return SolveReport(answer, witness, nodes, bound)
 

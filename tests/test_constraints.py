@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from dcedit.graphs import WeightedGraph, complete, cycle
+from dcedit.graphs import WeightedGraph, complete, cycle, line_graph
 from dcedit.problems import (
     EADD,
     EDEL,
@@ -17,12 +19,13 @@ from dcedit.problems import (
     canonical_steps,
     check_constraints,
     measures,
+    pinned_lists,
     script_cost,
     star_violation,
     violations,
 )
 
-from conftest import exact_instance, uniform_instance
+from conftest import exact_instance, uniform_instance, weighted_instance
 
 
 class TestConstraintSet:
@@ -195,6 +198,46 @@ class TestCheckConstraints:
             inst = exact_instance(kind, cycle(6), k=0, ops={VDEL})
             assert check_constraints(inst, inst.graph), kind
             assert broken(inst, inst.graph) == [], kind
+
+
+def _lists_from_measures(kind, g, near):
+    """The lists ``pinned_lists`` should give, read off every measure of g."""
+    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights())
+    sources = {WDCE: ("delta_v",), WEDCE: ("delta_e",), WERE: ("delta_v", "nu"),
+               WSRE: ("delta_v", "nu", "xi")}[kind]
+    rows = {"delta_v": (m.verts, m.wdeg), "delta_e": (m.edges, m.edeg),
+            "nu": (m.edges, m.ecom), "xi": (m.pairs, m.pcom)}
+    out = {}
+    for name in sources:
+        keys, vals = rows[name]
+        out[name] = {}
+        for x, c in zip(keys, vals):
+            ends = (x,) if name == "delta_v" else x
+            if near is None or any(end in near for end in ends):
+                out[name][x] = frozenset({c})
+    return out
+
+
+class TestPinnedLists:
+    @pytest.mark.parametrize("kind", [WDCE, WEDCE, WERE, WSRE])
+    def test_matches_the_measures_on_weighted_graphs(self, kind):
+        for seed in range(40):
+            g = weighted_instance(kind, seed).graph
+            rng = random.Random(seed)
+            verts = list(g.vertices())
+            for near in (None, set(), set(rng.sample(verts, rng.randint(1, len(verts))))):
+                assert pinned_lists(kind, g, near) == _lists_from_measures(kind, g, near)
+
+    @pytest.mark.parametrize("kind", [WDCE, WEDCE, WERE, WSRE])
+    def test_tuple_ids_are_matched_as_vertices(self, kind):
+        g = line_graph(cycle(6))   # ids are the edges of C6
+        rng = random.Random(kind)
+        verts = list(g.vertices())
+        for near in [None] + [set(rng.sample(verts, n)) for n in (1, 2, 3)]:
+            assert pinned_lists(kind, g, near) == _lists_from_measures(kind, g, near)
+        got = pinned_lists(kind, g, {(0, 1)})
+        if kind != WEDCE:
+            assert list(got["delta_v"]) == [(0, 1)]
 
 
 class TestEditScripts:

@@ -10,7 +10,7 @@ from importlib import import_module
 
 import pytest
 
-from dcedit.graphs import WeightedGraph, complete, random_graph
+from dcedit.graphs import WeightedGraph, complete, cycle, line_graph, random_graph
 from dcedit.kernelize import (
     RULES_BY_NAME,
     find_clean_regions,
@@ -251,6 +251,20 @@ class TestRule4:
         inst = wedce(g, {(0, 1): {3}, (1, 2): {0}, (2, 3): {0}}, r=4, k=1,
                      ops=frozenset({EDEL}))
         assert rr4_contract_clean_wedce_edel(inst) is None
+
+    @pytest.mark.parametrize("base, k", [("K4", k) for k in range(6)]
+                             + [("C6", k) for k in range(1, 6)])
+    def test_refuses_non_integer_ids(self, base, k):
+        # line-graph ids are edges, so no fresh id follows the largest one
+        g = line_graph(complete(4) if base == "K4" else cycle(6))
+        inst = exact_instance(WEDCE, g, k, {EDEL})
+        cs = inst.constraints
+        e = min(cs.delta_e)
+        moved = inst.replace(constraints=cs.replace(
+            delta_e={**cs.delta_e, e: {min(cs.delta_e[e]) - 1}}))
+        for run in (kernelize, rr4_contract_clean_wedce_edel):
+            with pytest.raises(ValueError, match="rr4 .* needs integer vertex ids"):
+                run(moved)
 
 
 class TestRule5:
