@@ -18,15 +18,16 @@ Branch sets are chosen greedily so that if no branch element is deleted,
 what survives around the violation pins its value above every reachable
 target: the child count stays within the factor and the search complete.
 
-A solve edits one working graph in place, built once from the input: each
-deletion updates weights, adjacency and weighted degrees in O(deg) and
-pushes what it removed onto the graph's one undo trail.  Each strategy
-keeps its violations as sets that it updates from every deletion, pushing
-what it changed onto the same trail, so a node costs what its edits touch
-rather than the whole graph.  A node marks the trail's length before its
-children and pops back to the mark after each one returns, which undoes
-the child's deletion, the forced deletions below it and the set updates of
-all of them.
+A solve edits one working graph in place, built once from the input as
+one map from each vertex to its neighbours' edge weights: each deletion
+updates that map and the weighted degrees in O(deg) and pushes what it
+removed onto the graph's one undo trail.  Each strategy keeps its
+violations as sets that it updates from every deletion, reading its lists
+straight from the constraint maps and pushing what it changed onto the
+same trail, so a node costs what its edits touch rather than the whole
+graph.  A node marks the trail's length before its children and pops back
+to the mark after each one returns, which undoes the child's deletion, the
+forced deletions below it and the set updates of all of them.
 
 A child whose deletion spends the whole remaining budget is a leaf, and a
 leaf accepts only if the deletion leaves no violation.  A deletion changes
@@ -74,33 +75,30 @@ def _max_allowed_at_most(allowed: frozenset, d: int) -> Optional[int]:
 
 
 class _WorkGraph:
-    """The one graph a search edits in place: vertex weights ``vw``, edge
-    weights ``ew`` (keyed by ``edge_key``), adjacency sets ``adj`` and
-    weighted degrees ``wd``.  A deletion costs O(deg) and pushes its change
-    onto ``trail``: ``(vdel, v, (weight, {neighbour: edge weight}))`` or
-    ``(edel, e, weight)``.  It then hands the change to ``update(self,
-    change)``, which pushes ``(set, added, dropped)`` for each violation
-    set it changes (see ``_sync``).  ``undo_to(mark)`` pops the trail back
-    to length ``mark`` and restores what each entry changed.  ``touched``,
-    ``gone`` and ``rewired`` say what a change did.  At construction
-    ``update`` hears None: the whole graph is new."""
+    """The one graph a search edits in place: vertex weights ``vw``,
+    neighbour maps ``nbr`` (``{v: {neighbour: edge weight}}``, each edge
+    entered at both ends) and weighted degrees ``wd``.  A deletion costs
+    O(deg) and pushes its change onto ``trail``: ``(vdel, v, (weight,
+    {neighbour: edge weight}))``, the dict popped from ``nbr``, or ``(edel,
+    e, weight)``.  It then hands the change to ``update(self, change)``,
+    which pushes ``(set, added, dropped)`` for each violation set it changes
+    (see ``_sync``).  ``undo_to(mark)`` pops the trail back to length
+    ``mark`` and restores what each entry changed, putting a deleted
+    vertex's saved dict back.  ``touched``, ``gone`` and ``rewired`` say
+    what a change did.  At construction ``update`` hears None: the whole
+    graph is new."""
 
-    __slots__ = ("vw", "ew", "adj", "wd", "trail", "_update")
+    __slots__ = ("vw", "nbr", "wd", "trail", "_update")
 
     def __init__(self, g: WeightedGraph, update: Callable):
         self.vw = dict(g.vertex_weights())
-        self.ew = dict(g.edge_weights())
-        self.adj = {v: set(g.neighbors(v)) for v in self.vw}
-        self.wd = dict.fromkeys(self.vw, 0)
-        for (u, v), w in self.ew.items():
-            self.wd[u] += w
-            self.wd[v] += w
+        self.nbr = nbr = {v: {} for v in self.vw}
+        for (u, v), w in g.edge_weights().items():
+            nbr[u][v] = nbr[v][u] = w
+        self.wd = {v: sum(ns.values()) for v, ns in nbr.items()}
         self.trail: list = []
         self._update = update
         update(self, None)
-
-    def weight(self, u, v) -> int:
-        return self.ew[edge_key(u, v)]
 
     def touched(self, change: Optional[tuple]) -> Iterable:
         """The vertices whose weighted degree or presence ``change`` changed."""
@@ -111,15 +109,15 @@ class _WorkGraph:
 
     def incident(self, touched: Iterable) -> set:
         """The edges with an endpoint among the present vertices of ``touched``."""
-        adj = self.adj
+        nbr = self.nbr
         # edge_key inlined: this is the innermost loop of the search
         return {(x, y) if x <= y else (y, x)
-                for x in touched if x in adj for y in adj[x]}
+                for x in touched if x in nbr for y in nbr[x]}
 
     def reach(self, op: str, ref):
         """The vertices whose measures deleting ``ref`` can change: the
         closed neighbourhood of a vertex, the ends of an edge."""
-        return {ref, *self.adj[ref]} if op == VDEL else ref
+        return {ref, *self.nbr[ref]} if op == VDEL else ref
 
     def gone(self, change: Optional[tuple]) -> Iterable:
         """The edges ``change`` deleted."""
@@ -131,68 +129,67 @@ class _WorkGraph:
     def rewired(self, change: Optional[tuple]) -> Iterable:
         """The present edges whose common-neighbour count ``change`` may
         have changed."""
+        nbr = self.nbr
         if change is None:
-            return self.ew
+            return {(a, b) for a in nbr for b in nbr[a] if a < b}
         op, ref, saved = change
-        adj = self.adj
         if op == VDEL:
             nbrs = saved[1]
-            return {edge_key(a, b) for a in nbrs for b in adj[a] if b in nbrs}
+            return {edge_key(a, b) for a in nbrs for b in nbr[a] if b in nbrs}
         u, v = ref
-        return {edge_key(x, y) for y in adj[u] & adj[v] for x in ref}
+        return {edge_key(x, y) for y in nbr[u].keys() & nbr[v].keys() for x in ref}
 
     def apart(self, change: Optional[tuple]) -> set:
         """The present non-adjacent pairs whose common-neighbour count
         ``change`` may have changed, and the pair an edge deletion parts."""
-        adj = self.adj
+        nbr = self.nbr
         if change is None:
-            return {(a, b) for a in adj for b in adj if a < b and b not in adj[a]}
+            return {(a, b) for a in nbr for b in nbr if a < b and b not in nbr[a]}
         op, ref, saved = change
         if op == VDEL:
             nbrs = saved[1]
-            return {(a, b) for a in nbrs for b in nbrs if a < b and b not in adj[a]}
+            return {(a, b) for a in nbrs for b in nbrs if a < b and b not in nbr[a]}
         u, v = ref
-        return {edge_key(x, y) for x, o in ((u, v), (v, u)) for y in adj[o] - adj[x]} | {ref}
-
-    def _set_weight(self, e: tuple, w: int) -> int:
-        """Give edge ``e`` weight ``w``, where 0 means absent; the old weight."""
-        u, v = e
-        old = self.ew.pop(e, 0)
-        if w:
-            self.ew[e] = w
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-        else:
-            self.adj[u].discard(v)
-            self.adj[v].discard(u)
-        self.wd[u] += w - old
-        self.wd[v] += w - old
-        return old
+        return {edge_key(x, y) for x, o in ((u, v), (v, u))
+                for y in nbr[o] if y not in nbr[x]} | {ref}
 
     def _push(self, change: tuple) -> None:
         self.trail.append(change)
         self._update(self, change)
 
     def delete_vertex(self, v) -> None:
-        lost = {y: self._set_weight(edge_key(v, y), 0) for y in list(self.adj[v])}
-        del self.adj[v], self.wd[v]
+        nbr, wd = self.nbr, self.wd
+        lost = nbr.pop(v)
+        for y, w in lost.items():
+            del nbr[y][v]
+            wd[y] -= w
+        del wd[v]
         self._push((VDEL, v, (self.vw.pop(v), lost)))
 
     def delete_edge(self, e: tuple) -> None:
-        self._push((EDEL, e, self._set_weight(e, 0)))
+        u, v = e
+        w = self.nbr[u].pop(v)
+        del self.nbr[v][u]
+        self.wd[u] -= w
+        self.wd[v] -= w
+        self._push((EDEL, e, w))
 
     def undo_to(self, mark: int) -> None:
-        trail = self.trail
+        trail, nbr, wd = self.trail, self.nbr, self.wd
         while len(trail) > mark:
             head, ref, saved = trail.pop()
             if head == VDEL:
                 self.vw[ref], lost = saved
-                self.adj[ref] = set()
-                self.wd[ref] = 0
+                nbr[ref] = lost
+                wd[ref] = sum(lost.values())
                 for y, w in lost.items():
-                    self._set_weight(edge_key(ref, y), w)
+                    nbr[y][ref] = w
+                    wd[y] += w
             elif head == EDEL:
-                self._set_weight(ref, saved)
+                u, v = ref
+                nbr[u][v] = nbr[v][u] = saved
+                wd[u] += saved
+                wd[v] += saved
             else:  # a violation set and what _sync added to and dropped from it
                 head -= ref
                 head |= saved
@@ -274,7 +271,7 @@ def _search(inst: ProblemInstance, cls: type) -> SolveReport:
         for op, ref in strategy.children(g, bad):
             if not (allow_v if op == VDEL else allow_e):
                 continue
-            cost = g.vw[ref] if op == VDEL else g.ew[ref]
+            cost = g.vw[ref] if op == VDEL else g.nbr[ref[0]][ref[1]]
             if cost > k:
                 continue
             if cost == k and strategy.stranded(g.reach(op, ref)):
@@ -334,33 +331,31 @@ class _Wedce(_Strategy):
 
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         u, v = bad
-        t = _max_allowed_at_most(self.cs.delta_of_edge(u, v), g.wd[u] + g.wd[v])
+        t = _max_allowed_at_most(self.cs.delta_e[bad], g.wd[u] + g.wd[v])
         out: List[Tuple[str, object]] = [(VDEL, u), (VDEL, v), (EDEL, bad)]
         if t is None:
             return out
-        others = sorted((g.adj[u] | g.adj[v]) - {u, v})
-        guarantee = 2 * g.weight(u, v)
+        nbr_u, nbr_v = g.nbr[u], g.nbr[v]
+        others = sorted((nbr_u.keys() | nbr_v.keys()) - {u, v})
+        guarantee = 2 * nbr_u[v]
         m_sel: List = []
         chosen: List[tuple] = []
         for x in others:
             if guarantee >= t + 1:
                 break
-            cands = []
-            if x in g.adj[u]:
-                cands.append((g.weight(x, u), edge_key(x, u)))
-            if x in g.adj[v]:
-                cands.append((g.weight(x, v), edge_key(x, v)))
-            w_best, e_best = max(cands, key=lambda p: (p[0], p[1]))
+            # the heavier edge from x to uv, ties to the larger edge_key
+            cands = [(nbr_u[x], edge_key(x, u))] if x in nbr_u else []
+            if x in nbr_v:
+                cands.append((nbr_v[x], edge_key(x, v)))
+            w_best, e_best = max(cands)
             m_sel.append(x)
             chosen.append(e_best)
             guarantee += w_best
         if guarantee < t + 1:
             # small neighbourhood: branch on everything around uv
             m_sel = others
-            chosen = sorted(
-                e for x in others for e in (edge_key(x, u), edge_key(x, v))
-                if e in g.ew
-            )
+            chosen = sorted(edge_key(x, y) for x in others
+                            for y, ns in ((u, nbr_u), (v, nbr_v)) if x in ns)
         return out + [(VDEL, x) for x in m_sel] + [(EDEL, e) for e in chosen]
 
 
@@ -390,9 +385,9 @@ class _Wdce(_Strategy):
         return 2 * r + 3 if edel else r + 2
 
     def update(self, g: _WorkGraph, change) -> None:
-        cs, wd = self.cs, g.wd
+        delta, wd = self.cs.delta_v, g.wd
         touched = g.touched(change)
-        here = [(v, cs.delta_of_vertex(v)) for v in touched if v in wd]
+        here = [(v, delta[v]) for v in touched if v in wd]
         _sync(self.low, touched, {v for v, dv in here if wd[v] < min(dv)}, g.trail)
         _sync(self.off, touched, {v for v, dv in here if wd[v] not in dv}, g.trail)
 
@@ -408,15 +403,16 @@ class _Wdce(_Strategy):
 
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         (v,) = bad
-        t = _max_allowed_at_most(self.cs.delta_of_vertex(v), g.wd[v])
+        t = _max_allowed_at_most(self.cs.delta_v[v], g.wd[v])
         # t exists: degrees below the whole list were deleted as doomed
         out: List[Tuple[str, object]] = [(VDEL, v)]
         guarantee = 0
-        for x in sorted(g.adj[v]):
+        nbr_v = g.nbr[v]
+        for x in sorted(nbr_v):
             if guarantee >= t + 1:
                 break
             out += [(VDEL, x), (EDEL, edge_key(v, x))]
-            guarantee += g.weight(v, x)
+            guarantee += nbr_v[x]
         return out
 
 
@@ -442,9 +438,10 @@ class _Were(_Wdce):
 
     def update(self, g: _WorkGraph, change) -> None:
         super().update(g, change)
-        adj, nu = g.adj, self.cs.nu_of
+        nbr, nu, default = g.nbr, self.cs.nu.get, self.cs.nu_default
         near = g.rewired(change)
-        bad = {(a, b) for (a, b) in near if len(adj[a] & adj[b]) not in nu(a, b)}
+        bad = {(a, b) for (a, b) in near
+               if len(nbr[a].keys() & nbr[b].keys()) not in (nu((a, b)) or default)}
         _sync(self.bad_pairs, {*near, *g.gone(change)}, bad, g.trail)
 
     def violation(self):
@@ -459,13 +456,14 @@ class _Were(_Wdce):
         if len(bad) == 1:
             return super().children(g, bad)
         a, b = bad
+        cs = self.cs
         out: List[Tuple[str, object]] = [(VDEL, a), (VDEL, b)]
-        if b in g.adj[a]:
+        if b in g.nbr[a]:
             out.append((EDEL, bad))
-            allowed = self.cs.nu_of(a, b)
+            allowed = cs.nu.get(bad) or cs.nu_default
         else:  # a pair violating xi (WSRE) branches alike, with no edge to delete
-            allowed = self.cs.xi_of(a, b)
-        common = g.adj[a] & g.adj[b]
+            allowed = cs.xi.get(bad) or cs.xi_default
+        common = g.nbr[a].keys() & g.nbr[b].keys()
         t = _max_allowed_at_most(allowed, len(common))
         if t is not None:
             # common counts are unweighted, so each survivor counts one:
@@ -489,9 +487,10 @@ class _Wsre(_Were):
 
     def update(self, g: _WorkGraph, change) -> None:
         super().update(g, change)
-        adj, xi = g.adj, self.cs.xi_of
+        nbr, xi, default = g.nbr, self.cs.xi.get, self.cs.xi_default
         near = g.apart(change)
-        bad = {(a, b) for (a, b) in near if len(adj[a] & adj[b]) not in xi(a, b)}
+        bad = {(a, b) for (a, b) in near
+               if len(nbr[a].keys() & nbr[b].keys()) not in (xi((a, b)) or default)}
         if change is not None and change[0] == VDEL:
             near |= {p for p in self.bad_pairs if change[1] in p}
         _sync(self.bad_pairs, near, bad, g.trail)

@@ -585,19 +585,21 @@ def _full_scan(inst, g):
     return sets, next(iter(low), None), next(iter(bad), None)
 
 
-def _weighted_wdce_wsre():
-    """Seeded weighted WDCE and WSRE instances under vdel and edel, with
-    stored xi lists and narrowed nu/xi defaults."""
+def _weighted_deletions():
+    """Seeded weighted instances of every kind under vdel and edel, with
+    edge weights up to 3, stored nu and xi lists and narrowed nu/xi
+    defaults."""
     return [weighted_instance(kind, seed).replace(ops={VDEL, EDEL})
-            for kind in (WDCE, WSRE) for seed in range(12)]
+            for kind in (WDCE, WEDCE, WERE, WSRE) for seed in range(12)]
 
 
 class TestWorkGraphUndo:
     def _check(self, inst, work, strategy, g):
         vs = g.vertices()
         assert work.vw == {v: g.vertex_weight(v) for v in vs}
-        assert work.ew == {e: g.edge_weight(*e) for e in g.edges()}
-        assert work.adj == {v: set(g.neighbors(v)) for v in vs}
+        # each edge at both ends, at its weight, and nothing else
+        assert work.nbr == {v: {y: g.edge_weight(v, y) for y in g.neighbors(v)}
+                            for v in vs}
         assert work.wd == {v: weighted_degree(g, v) for v in vs}
         sets, doomed, bad = _full_scan(inst, g)
         assert {name: val for name, val in vars(strategy).items()
@@ -611,7 +613,7 @@ class TestWorkGraphUndo:
         rng = random.Random(31)
         strategies = {WDCE: search_tree._Wdce, WEDCE: search_tree._Wedce,
                       WERE: search_tree._Were, WSRE: search_tree._Wsre}
-        for inst in [*_pinned_instances(), *_weighted_wdce_wsre()]:
+        for inst in [*_pinned_instances(), *_weighted_deletions()]:
             strategy = strategies[inst.kind](inst.constraints)
             work = search_tree._WorkGraph(inst.graph, strategy.update)
             history, marks = [inst.graph], []
@@ -651,7 +653,7 @@ class TestWorkGraphUndo:
         def snapshot(g):
             sets = {name: set(val) for name, val in vars(g._update.__self__).items()
                     if isinstance(val, set)}
-            return (dict(g.vw), dict(g.ew), {v: set(ns) for v, ns in g.adj.items()},
+            return (dict(g.vw), {v: dict(ns) for v, ns in g.nbr.items()},
                     dict(g.wd), sets)
 
         def recording(delete):
@@ -669,6 +671,25 @@ class TestWorkGraphUndo:
         monkeypatch.setattr(cls, "delete_vertex", recording(cls.delete_vertex))
         monkeypatch.setattr(cls, "delete_edge", recording(cls.delete_edge))
         monkeypatch.setattr(cls, "undo_to", checked_undo_to)
-        for inst in [*_pinned_instances(), *_weighted_wdce_wsre()]:
+        for inst in [*_pinned_instances(), *_weighted_deletions()]:
             solve(inst)
         assert undos > 200
+
+
+@pytest.mark.parametrize("kind", [WDCE, WEDCE, WERE, WSRE])
+def test_solve_leaves_the_input_graph_unchanged(kind):
+    # the working graph copies the input's maps, and a solve that answers
+    # YES stops with its root's deletions still applied to that copy
+    def maps(g):
+        return (dict(g.vertex_weights()), dict(g.edge_weights()),
+                {v: set(ns) for v, ns in g.adjacency().items()})
+
+    answers = set()
+    for seed in range(12):
+        for ops in ({VDEL}, {EDEL}, {VDEL, EDEL}):
+            for k in (0, 2, 8):
+                inst = weighted_instance(kind, seed).replace(ops=ops, k=k)
+                before = maps(inst.graph)
+                answers.add(solve(inst).answer)
+                assert maps(inst.graph) == before
+    assert answers == {True, False}
