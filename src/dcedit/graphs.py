@@ -19,15 +19,19 @@ def edge_key(u, v):
 
 
 class WeightedGraph:
+    """Vertex weights, edge weights keyed by ``edge_key`` pairs, and the
+    frozenset adjacency that ``neighbors``, ``adjacency`` and
+    ``non_adjacent_pairs`` read.  The adjacency is built when one of those
+    three is first called, so a graph whose adjacency is never read (a
+    parsed instance that a search tree answers NO) never builds it."""
+
     __slots__ = ("_vw", "_ew", "_adj", "_key")
 
     def __init__(self, vertex_weights: Dict, edge_weights: Dict):
         vw = dict(vertex_weights)
-        adj = {}
         for v, w in vw.items():
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"vertex {v!r} has non-positive weight {w!r}")
-            adj[v] = set()
         ew = {}
         for (u, v), w in edge_weights.items():
             if u == v:
@@ -37,15 +41,13 @@ class WeightedGraph:
                 raise ValueError(f"parallel edge {ke!r}")
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"edge {ke!r} has non-positive weight {w!r}")
-            if u not in adj or v not in adj:
-                end = ke[0] if ke[0] not in adj else ke[1]
+            if u not in vw or v not in vw:
+                end = ke[0] if ke[0] not in vw else ke[1]
                 raise ValueError(f"edge {ke!r} references missing vertex {end!r}")
             ew[ke] = w
-            adj[u].add(v)
-            adj[v].add(u)
         self._vw = vw
         self._ew = ew
-        self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        self._adj = None
         self._key = None
 
     @classmethod
@@ -53,19 +55,25 @@ class WeightedGraph:
         """A graph that takes ownership of ``vw`` and ``ew`` as they are.
 
         For callers that have already made every check of ``__init__``:
-        positive int weights, ``edge_key`` pairs on declared vertices.  The
-        adjacency is built in the same order as ``__init__`` builds it.
+        positive int weights, ``edge_key`` pairs on declared vertices.
         """
-        adj = {v: set() for v in vw}
-        for u, v in ew:
-            adj[u].add(v)
-            adj[v].add(u)
         g = cls.__new__(cls)
         g._vw = vw
         g._ew = ew
-        g._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        g._adj = None
         g._key = None
         return g
+
+    def _adjacency(self) -> Dict:
+        """The map from each vertex to its neighbour set, built on the
+        first call."""
+        if self._adj is None:
+            adj = {v: set() for v in self._vw}
+            for u, v in self._ew:
+                adj[u].add(v)
+                adj[v].add(u)
+            self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        return self._adj
 
     @classmethod
     def build(cls, vertices: Iterable, edges: Iterable) -> "WeightedGraph":
@@ -133,16 +141,17 @@ class WeightedGraph:
 
     def adjacency(self) -> Mapping:
         """Read-only view of the map from each vertex to its neighbour set."""
-        return MappingProxyType(self._adj)
+        return MappingProxyType(self._adjacency())
 
     def neighbors(self, v) -> frozenset:
-        return self._adj[v]
+        return self._adjacency()[v]
 
     def non_adjacent_pairs(self) -> Iterator[Tuple]:
         vs = self.vertices()
+        adj = self._adjacency()
         for i, u in enumerate(vs):
             for v in vs[i + 1:]:
-                if v not in self._adj[u]:
+                if v not in adj[u]:
                     yield (u, v)
 
     # -- edits (all return fresh graphs) ------------------------------------

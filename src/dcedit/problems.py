@@ -22,6 +22,7 @@ element's weight, and added edges always carry weight and cost 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 from .graphs import WeightedGraph, edge_key
@@ -213,9 +214,10 @@ class ProblemInstance:
         if kind == WEDCE and EADD in ops:
             raise ValueError("edge addition is ill-defined for WEDCE")
         if kind == WEDCE:
-            isolated = [v for v in graph.vertices() if not graph.neighbors(v)]
-            if isolated:
-                graph = graph.subgraph(set(graph.vertices()) - set(isolated))
+            # read off the edges, so that the graph builds no adjacency
+            ends = set(chain.from_iterable(graph.edge_weights()))
+            if len(ends) < graph.n:
+                graph = graph.subgraph(ends)
             stored, listed = graph.edge_weights().keys(), constraints.delta_e.keys()
             if not stored <= listed:
                 raise ValueError(f"no delta list stored for edge {min(stored - listed)!r}")

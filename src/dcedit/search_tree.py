@@ -21,13 +21,14 @@ target: the child count stays within the factor and the search complete.
 A solve edits one working graph in place, built once from the input as
 one map from each vertex to its neighbours' edge weights: each deletion
 updates that map and the weighted degrees in O(deg) and pushes what it
-removed onto the graph's one undo trail.  Each strategy keeps its
-violations as sets that it updates from every deletion, reading its lists
-straight from the constraint maps and pushing what it changed onto the
-same trail, so a node costs what its edits touch rather than the whole
-graph.  A node marks the trail's length before its children and pops back
-to the mark after each one returns, which undoes the child's deletion, the
-forced deletions below it and the set updates of all of them.
+removed onto the graph's one undo trail.  Each strategy builds its
+violation sets in one scan of the new graph, then updates them from every
+deletion, reading its lists straight from the constraint maps and pushing
+what it changed onto the same trail, so a node costs what its edits touch
+rather than the whole graph.  A node marks the trail's length before its
+children and pops back to the mark after each one returns, which undoes
+the child's deletion, the forced deletions below it and the set updates of
+all of them.
 
 A child whose deletion spends the whole remaining budget is a leaf, and a
 leaf accepts only if the deletion leaves no violation.  A deletion changes
@@ -39,7 +40,7 @@ leaf rejects: the engine counts it as a node and makes no edit.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .graphs import WeightedGraph, edge_key
 from .oracle import brute_force_solve
@@ -84,26 +85,26 @@ class _WorkGraph:
     which pushes ``(set, added, dropped)`` for each violation set it changes
     (see ``_sync``).  ``undo_to(mark)`` pops the trail back to length
     ``mark`` and restores what each entry changed, putting a deleted
-    vertex's saved dict back.  ``touched``, ``gone`` and ``rewired`` say
-    what a change did.  At construction ``update`` hears None: the whole
-    graph is new."""
+    vertex's saved dict back.  ``touched``, ``gone``, ``rewired`` and
+    ``apart`` say what a change did.  Construction hands the new graph and
+    the input's edge keys to ``strategy.start``, which builds the violation
+    sets in one scan and pushes nothing onto the trail."""
 
     __slots__ = ("vw", "nbr", "wd", "trail", "_update")
 
-    def __init__(self, g: WeightedGraph, update: Callable):
+    def __init__(self, g: WeightedGraph, strategy: "_Strategy"):
         self.vw = dict(g.vertex_weights())
         self.nbr = nbr = {v: {} for v in self.vw}
-        for (u, v), w in g.edge_weights().items():
+        ew = g.edge_weights()
+        for (u, v), w in ew.items():
             nbr[u][v] = nbr[v][u] = w
         self.wd = {v: sum(ns.values()) for v, ns in nbr.items()}
         self.trail: list = []
-        self._update = update
-        update(self, None)
+        self._update = strategy.update
+        strategy.start(self, ew.keys())
 
-    def touched(self, change: Optional[tuple]) -> Iterable:
+    def touched(self, change: tuple) -> Iterable:
         """The vertices whose weighted degree or presence ``change`` changed."""
-        if change is None:
-            return self.vw
         op, ref, saved = change
         return (ref, *saved[1]) if op == VDEL else ref
 
@@ -119,19 +120,15 @@ class _WorkGraph:
         closed neighbourhood of a vertex, the ends of an edge."""
         return {ref, *self.nbr[ref]} if op == VDEL else ref
 
-    def gone(self, change: Optional[tuple]) -> Iterable:
+    def gone(self, change: tuple) -> Iterable:
         """The edges ``change`` deleted."""
-        if change is None:
-            return ()
         op, ref, saved = change
         return [edge_key(ref, y) for y in saved[1]] if op == VDEL else (ref,)
 
-    def rewired(self, change: Optional[tuple]) -> Iterable:
+    def rewired(self, change: tuple) -> Iterable:
         """The present edges whose common-neighbour count ``change`` may
         have changed."""
         nbr = self.nbr
-        if change is None:
-            return {(a, b) for a in nbr for b in nbr[a] if a < b}
         op, ref, saved = change
         if op == VDEL:
             nbrs = saved[1]
@@ -139,12 +136,10 @@ class _WorkGraph:
         u, v = ref
         return {edge_key(x, y) for y in nbr[u].keys() & nbr[v].keys() for x in ref}
 
-    def apart(self, change: Optional[tuple]) -> set:
+    def apart(self, change: tuple) -> set:
         """The present non-adjacent pairs whose common-neighbour count
         ``change`` may have changed, and the pair an edge deletion parts."""
         nbr = self.nbr
-        if change is None:
-            return {(a, b) for a in nbr for b in nbr if a < b and b not in nbr[a]}
         op, ref, saved = change
         if op == VDEL:
             nbrs = saved[1]
@@ -200,14 +195,15 @@ class _WorkGraph:
 
 class _Strategy:
     """The per-kind part of the search.  Subclasses supply ``kind``;
-    ``factor(r, edel)``, the most children a node can have;
-    ``update(g, change)``, which brings the strategy's violation sets up to
-    date with a change to the working graph ``g`` (None: the whole graph)
-    through ``_sync``, on ``g.trail``; ``violation()``, the first violated
-    constraint of the graph or None when all hold; ``children(g, bad)``,
-    the ordered ``(op, ref)`` deletions that hit every way to fix ``bad``;
-    and ``stranded(reach)``, whether some violation has no end in the
-    vertex set ``reach`` and so outlives any deletion within it."""
+    ``factor(r, edel)``, the most children a node can have; ``start(g,
+    edges)``, which builds the strategy's violation sets from the new
+    working graph ``g`` and the input's edge keys ``edges``; ``update(g,
+    change)``, which brings those sets up to date with a deletion from
+    ``g`` through ``_sync``, on ``g.trail``; ``violation()``, the first
+    violated constraint of the graph or None when all hold; ``children(g,
+    bad)``, the ordered ``(op, ref)`` deletions that hit every way to fix
+    ``bad``; and ``stranded(reach)``, whether some violation has no end in
+    the vertex set ``reach`` and so outlives any deletion within it."""
 
     def __init__(self, cs):
         self.cs = cs
@@ -228,6 +224,14 @@ def _sync(s: set, scope: Iterable, bad: set, trail: list) -> None:
         trail.append((s, added, dropped))
 
 
+def _off_common(nbr: dict, pairs: Iterable, lists: dict, default: frozenset) -> set:
+    """The pairs among ``pairs`` whose common-neighbour count in ``nbr``
+    leaves their list: the one stored in ``lists``, else ``default``."""
+    get = lists.get
+    return {(a, b) for (a, b) in pairs
+            if len(nbr[a].keys() & nbr[b].keys()) not in (get((a, b)) or default)}
+
+
 def _search(inst: ProblemInstance, cls: type) -> SolveReport:
     """Depth-first bounded search tree over deletions, driven by a strategy
     of class ``cls``; children are tried in the strategy's order, skipping
@@ -240,7 +244,7 @@ def _search(inst: ProblemInstance, cls: type) -> SolveReport:
     strategy = cls(inst.constraints)
     allow_v = VDEL in inst.ops
     allow_e = EDEL in inst.ops
-    g = _WorkGraph(inst.graph, strategy.update)
+    g = _WorkGraph(inst.graph, strategy)
     nodes = 0
     hit: Optional[tuple] = None
 
@@ -309,13 +313,14 @@ class _Wedce(_Strategy):
 
     kind = WEDCE
 
-    def __init__(self, cs):
-        super().__init__(cs)
-        self.off: set = set()  # edges whose edge degree leaves the list
-
     @staticmethod
     def factor(r: int, edel: bool) -> int:
         return 2 * r + 5 if edel else r + 3
+
+    def start(self, g: _WorkGraph, edges: Iterable) -> None:
+        wd, delta = g.wd, self.cs.delta_e
+        # edges whose edge degree leaves the list
+        self.off = {e for e in edges if wd[e[0]] + wd[e[1]] not in delta[e]}
 
     def update(self, g: _WorkGraph, change) -> None:
         wd, delta = g.wd, self.cs.delta_e
@@ -375,14 +380,15 @@ class _Wdce(_Strategy):
 
     kind = WDCE
 
-    def __init__(self, cs):
-        super().__init__(cs)
-        self.low: set = set()      # doomed: degree below the whole list
-        self.off: set = set()      # degree outside the list
-
     @staticmethod
     def factor(r: int, edel: bool) -> int:
         return 2 * r + 3 if edel else r + 2
+
+    def start(self, g: _WorkGraph, edges: Iterable) -> None:
+        delta, wd = self.cs.delta_v, g.wd
+        # degree outside the list; doomed: degree below the whole list
+        self.off = {v for v, d in wd.items() if d not in delta[v]}
+        self.low = {v for v in self.off if wd[v] < min(delta[v])}
 
     def update(self, g: _WorkGraph, change) -> None:
         delta, wd = self.cs.delta_v, g.wd
@@ -428,20 +434,19 @@ class _Were(_Wdce):
 
     kind = WERE
 
-    def __init__(self, cs):
-        super().__init__(cs)
-        self.bad_pairs: set = set()   # edges leaving nu; WSRE adds non-edges leaving xi
-
     @staticmethod
     def factor(r: int, edel: bool) -> int:
         return 3 * r + 6 if edel else r + 3
 
+    def start(self, g: _WorkGraph, edges: Iterable) -> None:
+        super().start(g, edges)
+        # edges leaving nu; WSRE adds non-edges leaving xi
+        self.bad_pairs = _off_common(g.nbr, edges, self.cs.nu, self.cs.nu_default)
+
     def update(self, g: _WorkGraph, change) -> None:
         super().update(g, change)
-        nbr, nu, default = g.nbr, self.cs.nu.get, self.cs.nu_default
         near = g.rewired(change)
-        bad = {(a, b) for (a, b) in near
-               if len(nbr[a].keys() & nbr[b].keys()) not in (nu((a, b)) or default)}
+        bad = _off_common(g.nbr, near, self.cs.nu, self.cs.nu_default)
         _sync(self.bad_pairs, {*near, *g.gone(change)}, bad, g.trail)
 
     def violation(self):
@@ -485,13 +490,17 @@ class _Wsre(_Were):
 
     kind = WSRE
 
+    def start(self, g: _WorkGraph, edges: Iterable) -> None:
+        super().start(g, edges)
+        nbr, vs = g.nbr, sorted(g.nbr)
+        apart = ((a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if b not in nbr[a])
+        self.bad_pairs |= _off_common(nbr, apart, self.cs.xi, self.cs.xi_default)
+
     def update(self, g: _WorkGraph, change) -> None:
         super().update(g, change)
-        nbr, xi, default = g.nbr, self.cs.xi.get, self.cs.xi_default
         near = g.apart(change)
-        bad = {(a, b) for (a, b) in near
-               if len(nbr[a].keys() & nbr[b].keys()) not in (xi((a, b)) or default)}
-        if change is not None and change[0] == VDEL:
+        bad = _off_common(g.nbr, near, self.cs.xi, self.cs.xi_default)
+        if change[0] == VDEL:
             near |= {p for p in self.bad_pairs if change[1] in p}
         _sync(self.bad_pairs, near, bad, g.trail)
 

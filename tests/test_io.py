@@ -27,6 +27,8 @@ from dcedit.problems import (
     WSRE,
 )
 
+from dcedit.search_tree import solve
+
 from conftest import uniform_instance, weighted_instance
 
 MINIMAL = """\
@@ -326,6 +328,100 @@ class TestScriptFiles:
         script = EditScript.build(k13, (("vdel", 0), ("edel", 1, 3)))
         assert serialize_script(script) == "vdel 0\nedel 1 3\n"
         assert parse_script(serialize_script(script)) == script.steps
+
+
+# -- lazily built adjacency ---------------------------------------------------
+
+# vertices 4 and 5 sit on no edge
+_ISOLATED = WeightedGraph({v: 1 + v % 2 for v in range(6)},
+                          {(0, 1): 2, (0, 2): 1, (1, 2): 1, (2, 3): 3})
+
+_WDCE_WITH_ISOLATED = serialize_instance(
+    uniform_instance(WDCE, _ISOLATED, r=4, k=1, ops={VDEL}))
+
+_WEDCE_WITH_ISOLATED = MINIMAL + "vertex 7 weight=2\nvertex 9\n"
+
+
+def _reads(g):
+    """What the three adjacency readers give, in their iteration order."""
+    return ([(v, list(ns)) for v, ns in g.adjacency().items()],
+            [list(g.neighbors(v)) for v in g.vertices()],
+            list(g.non_adjacent_pairs()))
+
+
+def _identity(g):
+    return g.key(), hash(g)
+
+
+def _expected(g):
+    """The neighbour sets and non-adjacent pairs, worked out here from the
+    weight maps alone."""
+    adj = {v: set() for v in g.vertex_weights()}
+    for u, v in g.edge_weights():
+        adj[u].add(v)
+        adj[v].add(u)
+    vs = sorted(adj)
+    return adj, [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:] if v not in adj[u]]
+
+
+class TestLazyAdjacency:
+    # parse_instance hands its maps to WeightedGraph._owning, and a graph
+    # builds its adjacency when it is first read; the parsed graph must read
+    # as its weight maps say and as the graph __init__ builds from the same
+    # maps, before that read and after it
+
+    FILES = [
+        *(serialize_instance(weighted_instance(kind, seed))
+          for kind in KINDS for seed in range(4)),
+        _WDCE_WITH_ISOLATED,
+        serialize_instance(uniform_instance(WSRE, _ISOLATED, r=4, k=1, ops={VDEL},
+                                            lam=1, mu=1)),
+        _WEDCE_WITH_ISOLATED,
+    ]
+
+    @pytest.mark.parametrize("first", ["neighbors", "adjacency", "non_adjacent_pairs"])
+    @pytest.mark.parametrize("text", FILES)
+    def test_reads_as_its_weight_maps_say(self, text, first):
+        g = parse_instance(text).graph
+        public = WeightedGraph(dict(g.vertex_weights()), dict(g.edge_weights()))
+        adj, apart = _expected(g)
+        assert g == public and _identity(g) == _identity(public)
+        if first == "neighbors":
+            assert {v: g.neighbors(v) for v in g.vertices()} == adj
+        elif first == "adjacency":
+            assert g.adjacency() == adj
+        else:
+            assert list(g.non_adjacent_pairs()) == apart
+        assert g.adjacency() == adj and list(g.non_adjacent_pairs()) == apart
+        assert _reads(g) == _reads(public)
+        assert g == public and _identity(g) == _identity(public)
+
+    def test_isolated_vertices_kept_outside_wedce(self):
+        g = parse_instance(_WDCE_WITH_ISOLATED).graph
+        assert g.neighbors(4) == g.neighbors(5) == frozenset()
+        assert (4, 5) in set(g.non_adjacent_pairs())
+        assert g == _ISOLATED and _reads(g) == _reads(_ISOLATED)
+
+    def test_wedce_isolated_vertex_lines_dropped(self):
+        inst = parse_instance(_WEDCE_WITH_ISOLATED)
+        assert inst == parse_instance(MINIMAL)
+        assert inst.graph.vertices() == (0, 1, 2)
+        declared = WeightedGraph({0: 1, 1: 1, 2: 1, 7: 2, 9: 1}, {(0, 1): 1, (1, 2): 1})
+        public = ProblemInstance(WEDCE, declared, inst.constraints, inst.ops, inst.k)
+        assert inst == public and _reads(inst.graph) == _reads(public.graph)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_no_answer_builds_no_adjacency(self, kind):
+        # a tree solve reads the input's weight maps only; a YES also prices
+        # its witness, which replays the steps on a copy of the adjacency
+        seeds = [seed for seed in range(40)
+                 if not solve(weighted_instance(kind, seed).replace(ops={VDEL, EDEL})).answer]
+        assert len(seeds) >= 5
+        for seed in seeds:
+            inst = weighted_instance(kind, seed).replace(ops={VDEL, EDEL})
+            parsed = parse_instance(serialize_instance(inst))
+            assert solve(parsed) == solve(inst)
+            assert parsed.graph._adj is None
 
 
 # -- pinned diagnostics -----------------------------------------------------

@@ -19,6 +19,7 @@ from dcedit.kernelize import (
     replay_trace,
 )
 from dcedit.oracle import brute_force_solve
+from dcedit.search_tree import solve
 from dcedit.problems import (
     ConstraintSet,
     EDEL,
@@ -489,6 +490,48 @@ class TestDriver:
             else:
                 assert (brute_force_solve(inst).answer
                         == brute_force_solve(red).answer)
+
+
+def _moved_list(kind, seed):
+    """A seeded 6-9-vertex instance of ``kind`` with every list pinned to
+    its measure, then one vertex list moved one step off it."""
+    rng = random.Random(seed)
+    g = random_graph(rng.randint(6, 9), rng.uniform(0.3, 0.6),
+                     seed=rng.randrange(10 ** 6))
+    base = exact_instance(kind, g, 0, {VDEL})
+    cs = base.constraints
+    v = rng.choice(g.vertices())
+    (d,) = cs.delta_v[v]
+    moved = d - 1 if d and rng.random() < 0.5 else d + 1
+    return base.replace(constraints=cs.replace(r=max(cs.r, moved),
+                                               delta_v={**cs.delta_v, v: {moved}}))
+
+
+@pytest.mark.parametrize("kind, rule", [(WERE, "rr5"), (WSRE, "rr6")])
+def test_clique_completion_keeps_the_answer(kind, rule):
+    # rules 5 and 6 complete the kept layers to a clique and keep the xi
+    # lists stored for pairs that the completion makes adjacent; a later
+    # edge deletion parts such a pair again, and the kernel must still
+    # answer as the input does
+    fired = stale = 0
+    answers = set()
+    for seed in range(60):
+        moved = _moved_list(kind, seed)
+        for ops in ({VDEL}, {VDEL, EDEL}):
+            for k in range(3):
+                inst = moved.replace(ops=ops, k=k)
+                kern, trace = kernelize(inst)
+                if rule not in {step.rule for step in trace.steps}:
+                    continue
+                fired += 1
+                stale += any(kern.graph.has_edge(*p) for p in kern.constraints.xi)
+                answer = brute_force_solve(inst).answer
+                answers.add(answer)
+                assert brute_force_solve(kern).answer == answer, (seed, ops, k)
+                assert solve(kern).answer == answer, (seed, ops, k)
+    assert fired > 300 and answers == {True, False}
+    # WERE keeps no xi lists; most WSRE kernels keep one on a clique edge
+    assert stale > 150 if kind == WSRE else stale == 0
 
 
 class TestKernelBound:

@@ -9,6 +9,7 @@ from dcedit.graphs import (
     random_graph,
     weighted_degree,
 )
+from dcedit.instance_io import parse_instance, serialize_instance
 from dcedit.kernelize import kernelize
 from dcedit.oracle import brute_force_solve
 from dcedit.problems import (
@@ -593,6 +594,15 @@ def _weighted_deletions():
             for kind in (WDCE, WEDCE, WERE, WSRE) for seed in range(12)]
 
 
+def _walk_instances():
+    """The pinned and weighted instances, then each again as parsed back
+    from its file, on a graph that has not built its adjacency yet."""
+    insts = [*_pinned_instances(), *_weighted_deletions()]
+    parsed = [parse_instance(serialize_instance(inst)) for inst in insts]
+    assert parsed == insts
+    return insts + parsed
+
+
 class TestWorkGraphUndo:
     def _check(self, inst, work, strategy, g):
         vs = g.vertices()
@@ -613,9 +623,9 @@ class TestWorkGraphUndo:
         rng = random.Random(31)
         strategies = {WDCE: search_tree._Wdce, WEDCE: search_tree._Wedce,
                       WERE: search_tree._Were, WSRE: search_tree._Wsre}
-        for inst in [*_pinned_instances(), *_weighted_deletions()]:
+        for inst in _walk_instances():
             strategy = strategies[inst.kind](inst.constraints)
-            work = search_tree._WorkGraph(inst.graph, strategy.update)
+            work = search_tree._WorkGraph(inst.graph, strategy)
             history, marks = [inst.graph], []
             self._check(inst, work, strategy, inst.graph)
             for _ in range(60):
@@ -671,9 +681,9 @@ class TestWorkGraphUndo:
         monkeypatch.setattr(cls, "delete_vertex", recording(cls.delete_vertex))
         monkeypatch.setattr(cls, "delete_edge", recording(cls.delete_edge))
         monkeypatch.setattr(cls, "undo_to", checked_undo_to)
-        for inst in [*_pinned_instances(), *_weighted_deletions()]:
+        for inst in _walk_instances():
             solve(inst)
-        assert undos > 200
+        assert undos > 400
 
 
 @pytest.mark.parametrize("kind", [WDCE, WEDCE, WERE, WSRE])
