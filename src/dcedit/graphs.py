@@ -22,8 +22,9 @@ class WeightedGraph:
     """Vertex weights, edge weights keyed by ``edge_key`` pairs, and the
     frozenset adjacency that ``neighbors``, ``adjacency`` and
     ``non_adjacent_pairs`` read.  The adjacency is built when one of those
-    three is first called, so a graph whose adjacency is never read (a
-    parsed instance that a search tree answers NO) never builds it."""
+    three is first called, so a graph whose adjacency is never read never
+    builds it: a parsed instance that a search tree answers, YES or NO, is
+    searched and its witness priced on the weight maps alone."""
 
     __slots__ = ("_vw", "_ew", "_adj", "_key")
 

@@ -92,7 +92,7 @@ def _require_star(inst: ProblemInstance):
 def _clean_vertices(inst: ProblemInstance) -> set:
     """The vertices that lie on no violated constraint."""
     g = inst.graph
-    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights(), inst.kind)
+    m = measures(g.vertices(), g.edges(), g.edge_weights(), inst.kind)
     dirty = set()
     for item in violations(inst, m):
         dirty.update(item)
@@ -211,7 +211,7 @@ def _rescuable(inst: ProblemInstance, v, d: int) -> bool:
 def _high_degree(inst: ProblemInstance):
     """Rule 1: delete a vertex whose weighted degree cannot be repaired."""
     g = inst.graph
-    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights(), WDCE)
+    m = measures(g.vertices(), g.edges(), g.edge_weights(), WDCE)
     for v, d in zip(m.verts, m.wdeg):
         if d > inst.k + inst.constraints.r and not _rescuable(inst, v, d):
             cost = g.vertex_weight(v)

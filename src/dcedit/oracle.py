@@ -16,15 +16,17 @@ result, so one universe serves every kind, and a candidate is tested with
 ``problems.violations``, the one definition of what each kind checks.
 
 A universe is built one frame at a time.  A frame is one set of vertex
-deletions; it holds the surviving graph once, as a weighted degree per
+deletions of weight at most k, so of at most k vertices (each weighs at
+least 1); it holds the surviving graph once, as a weighted degree per
 vertex.  Edge deletions, then edge additions, are walked depth-first on
 those degrees: toggling uv changes the degrees of u and v and flips uv's
 bit in the edge-presence mask passed down the walk, and the walk undoes
 the degrees on the way back.  Each candidate keeps its degrees and its
 mask; its edge fields, and its common-neighbour counts (from
-``problems.measures``), are derived the first time they are read.  Most
-candidates fail a vertex-degree test, which ``violations`` runs first, so
-their pair measures are never derived.  The tests pin every field to
+``problems.measures``, which builds neighbour sets from the candidate's
+edges), are derived the first time they are read.  Most candidates fail a
+vertex-degree test, which ``violations`` runs first, so their pair
+measures are never derived.  The tests pin every field to
 ``problems.measures`` of the edited graph, whichever field is read first.
 A universe stores each step tuple, vertex pair and distinct measure tuple
 once; its candidates share them.
@@ -56,24 +58,6 @@ ORACLE_MAX_VERTICES = 10
 ORACLE_MAX_BUDGET = 6
 
 _MASK = {VDEL: 1, EDEL: 2, EADD: 4}
-
-
-def _weighted_subsets(items, cap):
-    """All subsets of ``items`` = [(id, weight), ...] with total weight <= cap."""
-    out = []
-    chosen = []
-
-    def rec(i, total):
-        out.append((tuple(chosen), total))
-        for j in range(i, len(items)):
-            ident, w = items[j]
-            if total + w <= cap:
-                chosen.append(ident)
-                rec(j + 1, total + w)
-                chosen.pop()
-
-    rec(0, 0)
-    return out
 
 
 class _Frame:
@@ -128,12 +112,7 @@ class _Candidate:
             self.edeg = fr.shared(tuple([wd[i] + wd[j] for i, j in compress(fr.ends, on)]))
         elif name in ("ecom", "pairs", "pcom"):
             fr = self.frame
-            edges = self.edges
-            adj = {v: set() for v in fr.verts}
-            for u, v in edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            m = measures(fr.verts, edges, adj, fr.weights, WSRE)
+            m = measures(fr.verts, self.edges, fr.weights, WSRE)
             self.ecom = fr.shared(m.ecom)
             # m.pairs, but made of the frame's pair tuples, which the
             # universe holds once
@@ -208,8 +187,12 @@ def _universe(g: WeightedGraph, cap: int, include_adds: bool):
 
         walk(0, cap - cv, cv, tuple([vstep[v] for v in dv]), 1 if dv else 0, present)
 
-    for dv, cv in _weighted_subsets([(v, g.vertex_weight(v)) for v in all_vs], cap):
-        frame(dv, cv)
+    vw = g.vertex_weights()
+    for size in range(min(cap, len(all_vs)) + 1):
+        for dv in combinations(all_vs, size):
+            cv = sum([vw[v] for v in dv])
+            if cv <= cap:
+                frame(dv, cv)
     out.sort(key=lambda c: (c.cost, tuple(map(step_key, c.steps))))
     return tuple(out)
 

@@ -320,7 +320,7 @@ def pinned_lists(kind: str, g: WeightedGraph, near=None) -> Dict[str, dict]:
     """Each list ``kind`` consults on ``g`` pinned to the singleton of its
     current measure, by ``ConstraintSet`` map name (delta_v, delta_e, nu,
     xi); with a vertex set ``near``, only the elements with an end in it."""
-    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights(), kind)
+    m = measures(g.vertices(), g.edges(), g.edge_weights(), kind)
 
     def pin(keys, vals, pairs=True):
         # a vertex id may itself be a tuple (line graphs), so only pairs split
@@ -402,11 +402,12 @@ class SolveReport:
 
 
 def _apply_steps(g: WeightedGraph, steps: Tuple[tuple, ...]):
-    """Replay ``steps`` on copies of ``g``'s weight and adjacency maps;
-    return the edited vertex weights, edge weights and the total cost."""
+    """Replay ``steps`` on copies of ``g``'s two weight maps; return the
+    edited vertex weights, edge weights and the total cost.  A vertex
+    deletion pops only the vertex; the edge entries it strands are never
+    edges again, so later steps refuse them and the end drops them."""
     vw = dict(g.vertex_weights())
     ew = dict(g.edge_weights())
-    adj = {v: set(ns) for v, ns in g.adjacency().items()}
     cost = 0
     for i, step in enumerate(steps):
         try:
@@ -421,16 +422,11 @@ def _apply_steps(g: WeightedGraph, steps: Tuple[tuple, ...]):
                 if v not in vw:
                     raise KeyError(f"no vertex {v!r}")
                 cost += vw.pop(v)
-                for y in adj.pop(v):
-                    del ew[edge_key(v, y)]
-                    adj[y].discard(v)
             elif op == EDEL:
                 e = edge_key(step[1], step[2])
-                if e not in ew:
+                if e not in ew or e[0] not in vw or e[1] not in vw:
                     raise KeyError(f"no edge {e!r}")
                 cost += ew.pop(e)
-                adj[e[0]].discard(e[1])
-                adj[e[1]].discard(e[0])
             else:
                 u, v = step[1], step[2]
                 if u not in vw or v not in vw:
@@ -441,12 +437,10 @@ def _apply_steps(g: WeightedGraph, steps: Tuple[tuple, ...]):
                 if u == v:
                     raise ValueError(f"self-loop at {u!r}")
                 ew[e] = 1
-                adj[u].add(v)
-                adj[v].add(u)
                 cost += 1
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"illegal edit at step {i} ({step!r}): {exc}") from None
-    return vw, ew, cost
+    return vw, {e: w for e, w in ew.items() if e[0] in vw and e[1] in vw}, cost
 
 
 def apply_edit_script(g: WeightedGraph, script) -> WeightedGraph:
@@ -460,10 +454,6 @@ def apply_edit_script(g: WeightedGraph, script) -> WeightedGraph:
     if isinstance(script, EditScript) and cost != script.cost:
         raise ValueError(f"script declares cost {script.cost} but applies at {cost}")
     return WeightedGraph(vw, ew)
-
-
-def script_cost(g: WeightedGraph, steps: Iterable[tuple]) -> int:
-    return _apply_steps(g, tuple(steps))[2]
 
 
 # -- constraint checking ----------------------------------------------------
@@ -484,11 +474,11 @@ class Measures(NamedTuple):
     pcom: Optional[tuple]
 
 
-def measures(verts: tuple, edges: tuple, adj: Mapping, weights: Mapping,
+def measures(verts: tuple, edges: tuple, weights: Mapping,
              kind: Optional[str] = None) -> Measures:
     """The measures ``kind`` reads (all of them for None) of the graph on
-    sorted ``verts`` and edge keys ``edges``, with neighbour sets ``adj``;
-    an edge missing from ``weights`` is an added one, of weight 1."""
+    sorted ``verts`` and edge keys ``edges``, an edge missing from ``weights``
+    being an added one of weight 1; only common counts build neighbour sets."""
     wdeg = dict.fromkeys(verts, 0)
     for e in edges:
         w = weights.get(e, 1)
@@ -498,6 +488,10 @@ def measures(verts: tuple, edges: tuple, adj: Mapping, weights: Mapping,
     if kind in (WEDCE, None):
         edeg = tuple([wdeg[u] + wdeg[v] for u, v in edges])
     if kind in (WERE, WSRE, None):
+        adj = {v: set() for v in verts}
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
         ecom = tuple([len(adj[u] & adj[v]) for u, v in edges])
     if kind in (WSRE, None):
         pairs = []
@@ -549,5 +543,5 @@ def check_constraints(inst: ProblemInstance, g: WeightedGraph) -> bool:
     ``g`` is expected to be an edited descendant of ``inst.graph``; stored
     constraint lists are looked up under the original (stable) ids.
     """
-    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights(), inst.kind)
+    m = measures(g.vertices(), g.edges(), g.edge_weights(), inst.kind)
     return next(violations(inst, m), None) is None

@@ -20,7 +20,6 @@ from dcedit.problems import (
     check_constraints,
     measures,
     pinned_lists,
-    script_cost,
     star_violation,
     violations,
 )
@@ -155,7 +154,7 @@ class TestStarViolation:
 
 def broken(inst, g):
     """Every constraint of ``inst`` that ``g`` breaks, in checking order."""
-    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights(), inst.kind)
+    m = measures(g.vertices(), g.edges(), g.edge_weights(), inst.kind)
     return list(violations(inst, m))
 
 
@@ -202,7 +201,7 @@ class TestCheckConstraints:
 
 def _lists_from_measures(kind, g, near):
     """The lists ``pinned_lists`` should give, read off every measure of g."""
-    m = measures(g.vertices(), g.edges(), g.adjacency(), g.edge_weights())
+    m = measures(g.vertices(), g.edges(), g.edge_weights())
     sources = {WDCE: ("delta_v",), WEDCE: ("delta_e",), WERE: ("delta_v", "nu"),
                WSRE: ("delta_v", "nu", "xi")}[kind]
     rows = {"delta_v": (m.verts, m.wdeg), "delta_e": (m.edges, m.edeg),
@@ -248,9 +247,9 @@ class TestEditScripts:
 
     def test_costs(self):
         g = WeightedGraph({0: 2, 1: 1, 2: 1}, {(0, 1): 3, (1, 2): 1})
-        assert script_cost(g, [("vdel", 0)]) == 2
-        assert script_cost(g, [("edel", 0, 1)]) == 3
-        assert script_cost(g, [("eadd", 0, 2)]) == 1
+        assert EditScript.build(g, [("vdel", 0)]).cost == 2
+        assert EditScript.build(g, [("edel", 0, 1)]).cost == 3
+        assert EditScript.build(g, [("eadd", 0, 2)]).cost == 1
 
     def test_build_and_apply(self, k13):
         script = EditScript.build(k13, (("vdel", 0),))
@@ -298,7 +297,7 @@ class TestEditScripts:
     @pytest.mark.parametrize("steps, message", ILLEGAL)
     def test_illegal_step_messages(self, steps, message):
         g = WeightedGraph({0: 2, 1: 1, 2: 1, 3: 1}, {(0, 1): 3, (0, 2): 1, (0, 3): 1})
-        for replay in (EditScript.build, script_cost, apply_edit_script):
+        for replay in (EditScript.build, apply_edit_script):
             with pytest.raises(ValueError) as info:
                 replay(g, steps)
             assert str(info.value) == message
@@ -319,6 +318,100 @@ class TestEditScripts:
         g = WeightedGraph({0: 1, 1: 1}, {})
         edited = apply_edit_script(g, EditScript.build(g, (("eadd", 0, 1),)))
         assert edited.edge_weight(0, 1) == 1
+
+
+def _replay_one_by_one(g, steps):
+    """``steps`` through the graph's own edit methods, one fresh graph per
+    step: ``(graph, cost)``, or ``(index, exception)`` of the first step
+    they refuse."""
+    cost = 0
+    for i, step in enumerate(steps):
+        try:
+            op, *ids = step
+            if op == VDEL and len(ids) == 1:
+                cost += g.vertex_weight(*ids)
+                g = g.delete_vertex(*ids)
+            elif op == EDEL and len(ids) == 2:
+                cost += g.edge_weight(*ids)
+                g = g.delete_edge(*ids)
+            elif op == EADD and len(ids) == 2:
+                g = g.add_edge(*ids)
+                cost += 1
+            else:
+                raise ValueError("not a step")
+        except (KeyError, ValueError) as exc:
+            return i, exc
+    return g, cost
+
+
+_JUNK = ((), ("vadd", 1), ("vdel",), ("edel", 0), ("eadd", 0, 1, 2))
+
+
+def _random_steps(rng, g):
+    """Up to seven steps in no particular order: deletions of the graph's
+    elements and of ids it lacks, additions of its non-edges and of other
+    pairs (loops included), malformed steps, and repeats of earlier steps."""
+    ids = list(g.vertices()) + [g.n]   # one id the graph lacks
+    apart = list(g.non_adjacent_pairs())
+    steps = []
+    for _ in range(rng.randint(0, 7)):
+        roll = rng.random()
+        if steps and roll < 0.15:
+            step = rng.choice(steps)
+        elif roll < 0.35:   # often an end of an earlier step
+            step = (VDEL, rng.choice(ids + [x for s in steps if len(s) == 3 for x in s[1:]]))
+        elif roll < 0.55 and g.m:
+            step = (EDEL,) + rng.choice(g.edges())[::rng.choice((1, -1))]
+        elif roll < 0.8 and apart:
+            step = (EADD,) + rng.choice(apart)[::rng.choice((1, -1))]
+        elif roll < 0.95:
+            step = (rng.choice((EDEL, EADD)), rng.choice(ids), rng.choice(ids))
+        else:
+            step = rng.choice(_JUNK)
+        steps.append(step)
+    return steps
+
+
+def test_replay_matches_the_graph_methods():
+    """``EditScript.build`` and ``apply_edit_script`` replay on the weight
+    maps alone; they give the graph, cost and refused step that the graph's
+    own methods give, step by step, with the same message for a missing
+    vertex or edge."""
+    seen = dict.fromkeys(("vdel after eadd", "after vdel", "junk", "repeat"), 0)
+    for seed in range(2000):
+        rng = random.Random(f"replay/{seed}")
+        n = rng.randint(2, 6)
+        g = WeightedGraph({v: rng.randint(1, 3) for v in range(n)},
+                          {(u, v): rng.randint(1, 3) for u in range(n)
+                           for v in range(u + 1, n) if rng.random() < 0.5})
+        steps = _random_steps(rng, g)
+        got, detail = _replay_one_by_one(g, steps)
+        if isinstance(got, WeightedGraph):
+            assert EditScript.build(g, steps) == EditScript(tuple(steps), detail)
+            assert apply_edit_script(g, steps) == got
+            assert apply_edit_script(g, EditScript(tuple(steps), detail)) == got
+            added = set()
+            for step in steps:
+                if step[0] == EADD:
+                    added.update(step[1:])
+                elif step[1] in added:
+                    seen["vdel after eadd"] += step[0] == VDEL
+            continue
+        i = got
+        prefix = f"illegal edit at step {i} ({steps[i]!r}): "
+        for replay in (EditScript.build, apply_edit_script):
+            with pytest.raises(ValueError) as info:
+                replay(g, steps)
+            assert str(info.value).startswith(prefix), (steps, str(info.value))
+            if isinstance(detail, KeyError):
+                assert str(info.value) == prefix + str(detail)
+        gone = {s[1] for s in steps[:i] if s[0] == VDEL}
+        if steps[i] in _JUNK:
+            seen["junk"] += 1
+        elif steps[i][0] != VDEL and gone & set(steps[i][1:]):
+            seen["after vdel"] += 1
+        seen["repeat"] += steps[i] in steps[:i]
+    assert min(seen.values()) >= 10, seen
 
 
 @given(st.integers(0, 2 ** 10 - 1), st.integers(0, 5))

@@ -25,6 +25,8 @@ from dcedit.problems import (
     WEDCE,
     WERE,
     WSRE,
+    apply_edit_script,
+    check_constraints,
 )
 
 from dcedit.search_tree import solve
@@ -412,8 +414,7 @@ class TestLazyAdjacency:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_no_answer_builds_no_adjacency(self, kind):
-        # a tree solve reads the input's weight maps only; a YES also prices
-        # its witness, which replays the steps on a copy of the adjacency
+        # a tree solve reads the input's weight maps only
         seeds = [seed for seed in range(40)
                  if not solve(weighted_instance(kind, seed).replace(ops={VDEL, EDEL})).answer]
         assert len(seeds) >= 5
@@ -422,6 +423,34 @@ class TestLazyAdjacency:
             parsed = parse_instance(serialize_instance(inst))
             assert solve(parsed) == solve(inst)
             assert parsed.graph._adj is None
+
+    @pytest.mark.parametrize("kind", [WEDCE, WERE])
+    def test_a_yes_answer_builds_no_adjacency(self, kind):
+        # a YES also prices its witness, by a replay on the weight maps
+        insts = [weighted_instance(kind, seed).replace(ops={VDEL, EDEL}, k=6)
+                 for seed in range(40)]
+        insts = [inst for inst in insts if solve(inst).answer]
+        assert len(insts) >= 20
+        for inst in insts:
+            parsed = parse_instance(serialize_instance(inst))
+            report = solve(parsed)
+            assert report == solve(inst) and report.witness.steps
+            assert parsed.graph._adj is None
+
+    @pytest.mark.parametrize("kind", [WDCE, WEDCE])
+    def test_checks_and_replays_build_no_adjacency(self, kind):
+        # degree kinds read no common counts, so a check needs no neighbour sets
+        for seed in range(16):
+            inst = weighted_instance(kind, seed)
+            parsed = parse_instance(serialize_instance(inst))
+            g = parsed.graph
+            steps = [(VDEL, g.vertices()[0])] + [(EDEL,) + e for e in g.edges()[-1:]
+                                                 if g.vertices()[0] not in e]
+            edited = apply_edit_script(g, steps)
+            assert edited == apply_edit_script(inst.graph, steps)
+            assert check_constraints(parsed, g) == check_constraints(inst, inst.graph)
+            assert check_constraints(parsed, edited) == check_constraints(inst, edited)
+            assert g._adj is None and edited._adj is None
 
 
 # -- pinned diagnostics -----------------------------------------------------

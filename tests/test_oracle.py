@@ -27,7 +27,6 @@ from dcedit.problems import (
     canonical_steps,
     check_constraints,
     measures,
-    script_cost,
     step_sort_key,
 )
 
@@ -140,7 +139,7 @@ def _weighted_graph(rng, n):
 
 def _enumerate_edit_sets(g, cap, include_adds):
     """``(cost, steps, mask)`` of every legal edit set of cost <= cap, from
-    all step combinations (each costs at least 1) priced by ``script_cost``."""
+    all step combinations (each costs at least 1) priced by ``EditScript.build``."""
     steps = [(VDEL, v) for v in g.vertices()] + [(EDEL,) + e for e in g.edges()]
     if include_adds:
         steps += [(EADD,) + p for p in g.non_adjacent_pairs()]
@@ -150,7 +149,7 @@ def _enumerate_edit_sets(g, cap, include_adds):
             gone = {s[1] for s in chosen if s[0] == VDEL}
             if any(s[0] != VDEL and (s[1] in gone or s[2] in gone) for s in chosen):
                 continue
-            cost = script_cost(g, chosen)
+            cost = EditScript.build(g, chosen).cost
             if cost <= cap:
                 mask = sum({VDEL: 1, EDEL: 2, EADD: 4}[op]
                            for op in {s[0] for s in chosen})
@@ -180,8 +179,7 @@ def test_universe_matches_definition(seed):
                 assert [(c.cost, c.steps, c.mask) for c in universe] == expected
                 for cand in universe:
                     edited = apply_edit_script(g, EditScript(cand.steps, cand.cost))
-                    m = measures(edited.vertices(), edited.edges(), edited.adjacency(),
-                                 edited.edge_weights())
+                    m = measures(edited.vertices(), edited.edges(), edited.edge_weights())
                     assert {f: getattr(cand, f) for f in order} == m._asdict(), \
                         (cap, include_adds, order, cand.steps)
 
