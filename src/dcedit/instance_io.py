@@ -29,13 +29,12 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .graphs import WeightedGraph, edge_key
 from .problems import (
+    BOUND_NAMES,
+    CONSULTED,
     EADD,
     EDEL,
     KINDS,
     VDEL,
-    WEDCE,
-    WERE,
-    WSRE,
     ConstraintSet,
     EditScript,
     ProblemInstance,
@@ -241,10 +240,9 @@ def parse_instance(text: str) -> ProblemInstance:
     r_line, r = need("r")
     if r < 0:
         raise ParseError(r_line, "r must be non-negative")
-    uses_vdelta = kind != WEDCE
-    uses_edelta = kind == WEDCE
-    uses_nu = kind in (WERE, WSRE)
-    uses_xi = kind == WSRE
+    stores = {f.store for f in CONSULTED[kind]}
+    uses_vdelta, uses_edelta = "delta_v" in stores, "delta_e" in stores
+    uses_nu, uses_xi = "nu" in stores, "xi" in stores
     for name, used in (("lambda", uses_nu), ("mu", uses_xi)):
         if name in directives and not used:
             raise ParseError(directives[name][0], f"`{name}` does not apply to {kind}")
@@ -321,45 +319,34 @@ def _fmt_set(vals) -> str:
 
 def serialize_instance(inst: ProblemInstance) -> str:
     cs = inst.constraints
-    kind = inst.kind
-    uses_vdelta = kind != WEDCE
-    uses_edelta = kind == WEDCE
-    uses_nu = kind in (WERE, WSRE)
-    uses_xi = kind == WSRE
+    families = CONSULTED[inst.kind]
+    stores = {f.store for f in families}
+    uses_vdelta, uses_edelta = "delta_v" in stores, "delta_e" in stores
+    # the families with a default are written as pair lines under their own bound
+    paired = [f for f in families if f.default]
     lines = [
-        f"problem {kind}",
+        f"problem {inst.kind}",
         "ops " + " ".join(sorted(inst.ops, key=_OP_RANK.__getitem__)),
         f"k {inst.k}",
         f"r {cs.r}",
     ]
-    if uses_nu:
-        if cs.lam is None:
-            raise ValueError(f"{kind} instance has no lambda to serialize")
-        lines.append(f"lambda {cs.lam}")
-    if uses_xi:
-        if cs.mu is None:
-            raise ValueError(f"{kind} instance has no mu to serialize")
-        lines.append(f"mu {cs.mu}")
-    if uses_nu:
-        lines.append(f"default nu {_fmt_set(cs.nu_default)}")
-    if uses_xi:
-        lines.append(f"default xi {_fmt_set(cs.xi_default)}")
+    for f in paired:
+        lines.append(f"{BOUND_NAMES[f.bound]} {getattr(cs, f.bound)}")
+    for f in paired:
+        lines.append(f"default {f.label} {_fmt_set(getattr(cs, f.default))}")
     for v in inst.graph.vertices():
         entry = f"vertex {v} weight={inst.graph.vertex_weight(v)}"
         if uses_vdelta:
-            entry += f" delta={_fmt_set(cs.delta_of_vertex(v))}"
+            entry += f" delta={_fmt_set(cs.delta_v[v])}"
         lines.append(entry)
     for (u, v) in inst.graph.edges():
         entry = f"edge {u} {v} weight={inst.graph.edge_weight(u, v)}"
         if uses_edelta:
-            entry += f" delta={_fmt_set(cs.delta_of_edge(u, v))}"
+            entry += f" delta={_fmt_set(cs.delta_e[u, v])}"
         lines.append(entry)
-    if uses_nu:
-        for (u, v), vals in sorted(cs.nu.items()):
-            lines.append(f"nu {u} {v} {_fmt_set(vals)}")
-    if uses_xi:
-        for (u, v), vals in sorted(cs.xi.items()):
-            lines.append(f"xi {u} {v} {_fmt_set(vals)}")
+    for f in paired:
+        for (u, v), vals in sorted(getattr(cs, f.store).items()):
+            lines.append(f"{f.label} {u} {v} {_fmt_set(vals)}")
     return "\n".join(lines) + "\n"
 
 

@@ -42,7 +42,9 @@ from functools import partial
 from typing import List, Tuple
 
 from .problems import (
+    CONSULTED,
     EDEL,
+    FAMILIES,
     VDEL,
     WDCE,
     WEDCE,
@@ -102,7 +104,7 @@ def _clean_vertices(inst: ProblemInstance) -> set:
 def find_clean_regions(inst: ProblemInstance) -> List[CleanRegion]:
     """All maximal clean regions, each with boundary and layers, sorted by
     smallest member id."""
-    if inst.kind not in (WEDCE, WERE, WSRE):
+    if inst.kind not in _ANY_KIND:
         raise ValueError(f"clean regions are undefined for kind {inst.kind}")
     _require_star(inst)
     g = inst.graph
@@ -160,24 +162,22 @@ def _rewrite(inst: ProblemInstance, graph, rule: str, affected, k_delta=0,
     """
     cs = inst.constraints
     alive = set(graph.vertices())
-    maps = {"delta_v": {v: s for v, s in cs.delta_v.items() if v in alive}}
-    for name in ("delta_e", "nu", "xi"):
-        maps[name] = {p: s for p, s in getattr(cs, name).items()
-                      if p[0] in alive and p[1] in alive}
+    maps = {}
+    for f in FAMILIES:
+        lists = getattr(cs, f.store).items()
+        maps[f.store] = ({v: s for v, s in lists if v in alive} if f.on_vertices else
+                         {p: s for p, s in lists if p[0] in alive and p[1] in alive})
     pins = pinned_lists(inst.kind, graph, near) if near else {}
-    for name, pinned in pins.items():
-        maps[name].update(pinned)
-
-    def peak(*names):
+    bounds = {"r": cs.r, "lam": cs.lam, "mu": cs.mu}
+    for f in CONSULTED[inst.kind]:
+        pinned = pins.get(f.store, {})
+        maps[f.store].update(pinned)
         # stored lists already lie within the bounds, so only pins can widen
-        return max((x for n in names for s in pins.get(n, {}).values()
-                    for x in s), default=0)
-
-    lam = cs.lam if cs.lam is None else max(cs.lam, peak("nu"))
-    mu = cs.mu if cs.mu is None else max(cs.mu, peak("xi"))
-    r = max(cs.r, peak("delta_v", "delta_e"), lam or 0, mu or 0)
+        for s in pinned.values():
+            bounds[f.bound] = max(bounds[f.bound], *s)
+    bounds["r"] = max(b for b in bounds.values() if b is not None)
     new = inst.replace(graph=graph, k=inst.k + k_delta,
-                       constraints=cs.replace(r=r, lam=lam, mu=mu, **maps))
+                       constraints=cs.replace(**bounds, **maps))
     return new, TraceStep(rule, tuple(affected), k_delta)
 
 

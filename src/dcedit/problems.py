@@ -8,11 +8,17 @@ The four problem kinds share one instance model:
 * ``WERE``  — vertex lists plus a common-neighbour list nu(u,v) on edges.
 * ``WSRE``  — WERE plus a list xi(u,v) on non-adjacent pairs.
 
-``measures`` and ``violations`` are the one definition of what each kind
-checks; ``check_constraints``, the oracle and the clean-region finder read
-them.  ``pinned_lists`` pins lists to the measures, for ``exact_instance``
-and for the reduction rules.  The search trees keep incremental checks of
-their own, so the oracle is an independent reference for them.
+``CONSULTED`` is the one statement of which lists each kind consults: per
+kind, its list families in checking order, each naming its
+``ConstraintSet`` map and default, its ``Measures`` fields, its bound and
+its label.  ``ConstraintSet``, ``ProblemInstance``, ``star_violation``, the
+instance builders, ``violations``, the file format and the reduction rules
+read it.  ``measures`` and ``violations`` are the one definition of what
+each kind checks; ``check_constraints``, the oracle and the clean-region
+finder read them.  ``pinned_lists`` pins lists to the measures, for
+``exact_instance`` and for the reduction rules.  The search trees keep
+incremental checks of their own, so the oracle is an independent reference
+for them.
 
 Allowed operations are vertex deletion, edge deletion and edge addition
 (``vdel``/``edel``/``eadd``); an edit script is billed at the deleted
@@ -21,7 +27,7 @@ element's weight, and added edges always carry weight and cost 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Optional, Tuple
 
@@ -37,6 +43,48 @@ VDEL = "vdel"
 EDEL = "edel"
 EADD = "eadd"
 ALL_OPS = (VDEL, EDEL, EADD)
+
+
+@dataclass(frozen=True)
+class ListFamily:
+    """One family of constraint lists: its ``label`` in messages and files,
+    the ``ConstraintSet`` map (``store``) and default that hold it (no
+    default: every element needs a stored list), the ``Measures`` fields of
+    the elements it is kept on and of their measured values, and the
+    ``ConstraintSet`` bound its values lie within.  ``on_vertices`` says
+    whether the elements are vertices (else vertex pairs)."""
+
+    label: str
+    store: str
+    default: Optional[str]
+    elements: str
+    values: str
+    bound: str
+    on_vertices: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "on_vertices", self.elements == "verts")
+
+
+_DELTA_V = ListFamily("delta", "delta_v", None, "verts", "wdeg", "r")
+_DELTA_E = ListFamily("delta", "delta_e", None, "edges", "edeg", "r")
+_NU = ListFamily("nu", "nu", "nu_default", "edges", "ecom", "lam")
+_XI = ListFamily("xi", "xi", "xi_default", "pairs", "pcom", "mu")
+FAMILIES = (_DELTA_V, _DELTA_E, _NU, _XI)
+_DEFAULTED = tuple(f for f in FAMILIES if f.default)
+
+# kind -> the list families it consults, in the order ``violations`` checks them
+CONSULTED = {
+    WDCE: (_DELTA_V,),
+    WEDCE: (_DELTA_E,),
+    WERE: (_DELTA_V, _NU),
+    WSRE: (_DELTA_V, _NU, _XI),
+}
+BOUND_NAMES = {"r": "r", "lam": "lambda", "mu": "mu"}
+
+# a family's elements on a graph, by its ``elements`` field
+_ELEMENTS = {"verts": WeightedGraph.vertices, "edges": WeightedGraph.edges,
+             "pairs": WeightedGraph.non_adjacent_pairs}
 
 
 def _norm_sets(mapping, pair=False):
@@ -71,32 +119,30 @@ class ConstraintSet:
         self.r = r
         self.lam = lam
         self.mu = mu
-        self.delta_v = _norm_sets(delta_v or {})
-        self.delta_e = _norm_sets(delta_e or {}, pair=True)
-        self.nu = _norm_sets(nu or {}, pair=True)
-        self.xi = _norm_sets(xi or {}, pair=True)
-        for name, m, hi in (("delta", self.delta_v, r), ("delta", self.delta_e, r),
-                            ("nu", self.nu, lam), ("xi", self.xi, mu)):
+        given = {"r": r, "lam": lam, "mu": mu, "delta_v": delta_v, "delta_e": delta_e,
+                 "nu": nu, "xi": xi, "nu_default": nu_default, "xi_default": xi_default}
+        for f in FAMILIES:
+            lists = _norm_sets(given[f.store] or {}, pair=not f.on_vertices)
+            hi = given[f.bound]
             valid = set()  # a few distinct lists are shared by many keys
-            for key, vals in m.items():
+            for key, vals in lists.items():
                 if vals in valid:
                     continue
                 if not vals:
-                    raise ValueError(f"{name}[{key!r}] is empty")
+                    raise ValueError(f"{f.label}[{key!r}] is empty")
                 if hi is None:
-                    raise ValueError(f"{name}[{key!r}] given without its bound")
+                    raise ValueError(f"{f.label}[{key!r}] given without its bound")
                 if any(x < 0 or x > hi for x in vals):
-                    raise ValueError(f"{name}[{key!r}]={sorted(vals)} outside [0..{hi}]")
+                    raise ValueError(f"{f.label}[{key!r}]={sorted(vals)} outside [0..{hi}]")
                 valid.add(vals)
-        if nu_default is not None:
-            nu_default = frozenset(nu_default)
-            if lam is None or not nu_default or any(x < 0 or x > lam for x in nu_default):
-                raise ValueError("bad nu default")
-        if xi_default is not None:
-            xi_default = frozenset(xi_default)
-            if mu is None or not xi_default or any(x < 0 or x > mu for x in xi_default):
-                raise ValueError("bad xi default")
-        self._set_defaults(nu_default, xi_default)
+            setattr(self, f.store, lists)
+        for f in _DEFAULTED:
+            if given[f.default] is not None:
+                vals = given[f.default] = frozenset(given[f.default])
+                hi = given[f.bound]
+                if hi is None or not vals or any(x < 0 or x > hi for x in vals):
+                    raise ValueError(f"bad {f.label} default")
+        self._set_defaults(given)
 
     @classmethod
     def _owning(cls, r: int, lam: Optional[int], mu: Optional[int], delta_v: Dict,
@@ -111,48 +157,45 @@ class ConstraintSet:
         cs = cls.__new__(cls)
         cs.r, cs.lam, cs.mu = r, lam, mu
         cs.delta_v, cs.delta_e, cs.nu, cs.xi = delta_v, delta_e, nu, xi
-        cs._set_defaults(nu_default, xi_default)
+        cs._set_defaults({"lam": lam, "mu": mu, "nu_default": nu_default,
+                          "xi_default": xi_default})
         return cs
 
-    def _set_defaults(self, nu_default: Optional[frozenset],
-                      xi_default: Optional[frozenset]) -> None:
-        """Store the defaults, a missing one as the full range of its bound."""
-        lam, mu = self.lam, self.mu
-        if nu_default is None and lam is not None:
-            nu_default = frozenset(range(lam + 1))
-        if xi_default is None and mu is not None:
-            xi_default = frozenset(range(mu + 1))
-        self.nu_default = nu_default
-        self.xi_default = xi_default
+    def _set_defaults(self, given: Mapping) -> None:
+        """Store the defaults ``given`` by name, a missing one as the full
+        range of its bound (also ``given`` by name)."""
+        for f in _DEFAULTED:
+            vals, hi = given[f.default], given[f.bound]
+            if vals is None and hi is not None:
+                vals = frozenset(range(hi + 1))
+            setattr(self, f.default, vals)
         self._key = None
 
+    def _list_of(self, f: ListFamily, x) -> frozenset:
+        """The list of family ``f`` that ``x`` (a vertex, or a pair in either
+        order) consults: its stored list, else ``f``'s default."""
+        got = getattr(self, f.store).get(x if f.on_vertices else edge_key(*x))
+        if got is None and f.default:
+            got = getattr(self, f.default)
+            if got is None:
+                bound = BOUND_NAMES[f.bound]
+                raise KeyError(f"{f.label} queried on a constraint set without {bound}")
+        if got is None:
+            where = f"vertex {x!r}" if f.on_vertices else f"edge ({x[0]!r},{x[1]!r})"
+            raise KeyError(f"no {f.label} list stored for {where}")
+        return got
+
     def delta_of_vertex(self, v) -> frozenset:
-        try:
-            return self.delta_v[v]
-        except KeyError:
-            raise KeyError(f"no delta list stored for vertex {v!r}") from None
+        return self._list_of(_DELTA_V, v)
 
     def delta_of_edge(self, u, v) -> frozenset:
-        try:
-            return self.delta_e[edge_key(u, v)]
-        except KeyError:
-            raise KeyError(f"no delta list stored for edge ({u!r},{v!r})") from None
+        return self._list_of(_DELTA_E, (u, v))
 
     def nu_of(self, u, v) -> frozenset:
-        got = self.nu.get(edge_key(u, v))
-        if got is not None:
-            return got
-        if self.nu_default is None:
-            raise KeyError("nu queried on a constraint set without lambda")
-        return self.nu_default
+        return self._list_of(_NU, (u, v))
 
     def xi_of(self, u, v) -> frozenset:
-        got = self.xi.get(edge_key(u, v))
-        if got is not None:
-            return got
-        if self.xi_default is None:
-            raise KeyError("xi queried on a constraint set without mu")
-        return self.xi_default
+        return self._list_of(_XI, (u, v))
 
     # -- value plumbing -----------------------------------------------------
 
@@ -211,24 +254,23 @@ class ProblemInstance:
             raise ValueError("ops must be non-empty")
         if not ops <= set(ALL_OPS):
             raise ValueError(f"unknown operations {sorted(ops - set(ALL_OPS))}")
-        if kind == WEDCE and EADD in ops:
-            raise ValueError("edge addition is ill-defined for WEDCE")
         if kind == WEDCE:
+            if EADD in ops:
+                raise ValueError("edge addition is ill-defined for WEDCE")
             # read off the edges, so that the graph builds no adjacency
             ends = set(chain.from_iterable(graph.edge_weights()))
             if len(ends) < graph.n:
                 graph = graph.subgraph(ends)
-            stored, listed = graph.edge_weights().keys(), constraints.delta_e.keys()
-            if not stored <= listed:
-                raise ValueError(f"no delta list stored for edge {min(stored - listed)!r}")
-        else:
-            stored, listed = graph.vertex_weights().keys(), constraints.delta_v.keys()
-            if not stored <= listed:
-                raise ValueError(f"no delta list stored for vertex {min(stored - listed)!r}")
-            if kind in (WERE, WSRE) and constraints.lam is None:
-                raise ValueError(f"{kind} needs lambda, the bound on nu")
-            if kind == WSRE and constraints.mu is None:
-                raise ValueError(f"{kind} needs mu, the bound on xi")
+        for f in CONSULTED[kind]:
+            if getattr(constraints, f.bound) is None:
+                raise ValueError(f"{kind} needs {BOUND_NAMES[f.bound]}, the bound on {f.label}")
+            if f.default is None:
+                noun, stored = (("vertex", graph.vertex_weights()) if f.on_vertices
+                                else ("edge", graph.edge_weights()))
+                stored, listed = stored.keys(), getattr(constraints, f.store).keys()
+                if not stored <= listed:
+                    missing = min(stored - listed)
+                    raise ValueError(f"no {f.label} list stored for {noun} {missing!r}")
         self.kind = kind
         self.graph = graph
         self.constraints = constraints
@@ -269,29 +311,20 @@ def star_violation(inst: ProblemInstance) -> Optional[str]:
     them.
     """
     cs, g = inst.constraints, inst.graph
-    if inst.kind == WEDCE:
-        for (u, v) in g.edges():
-            if len(cs.delta_of_edge(u, v)) != 1:
-                return f"delta({u},{v}) is not a singleton"
-        return None
-    for v in g.vertices():
-        if len(cs.delta_of_vertex(v)) != 1:
-            return f"delta({v}) is not a singleton"
-    if inst.kind in (WERE, WSRE):
-        stored = cs.nu
-        if any(edge_key(u, v) not in stored for (u, v) in g.edges()):
-            if len(cs.nu_default) != 1:
-                return "nu default is not a singleton"
-        for e, vals in stored.items():
+    for f in CONSULTED[inst.kind]:
+        lists = getattr(cs, f.store)
+        elements = _ELEMENTS[f.elements](g)
+        if f.default is None:  # then every element has a stored list
+            for x in elements:
+                if len(lists[x]) != 1:
+                    where = x if f.on_vertices else f"{x[0]},{x[1]}"
+                    return f"{f.label}({where}) is not a singleton"
+            continue
+        if any(x not in lists for x in elements) and len(getattr(cs, f.default)) != 1:
+            return f"{f.label} default is not a singleton"
+        for e, vals in lists.items():
             if len(vals) != 1:
-                return f"nu{e} is not a singleton"
-    if inst.kind == WSRE:
-        if any(edge_key(u, v) not in cs.xi for (u, v) in g.non_adjacent_pairs()):
-            if len(cs.xi_default) != 1:
-                return "xi default is not a singleton"
-        for e, vals in cs.xi.items():
-            if len(vals) != 1:
-                return f"xi{e} is not a singleton"
+                return f"{f.label}{e} is not a singleton"
     return None
 
 
@@ -302,18 +335,16 @@ def uniform_instance(kind: str, g: WeightedGraph, r: int, k: int, ops: Iterable[
                      lam: Optional[int] = None, mu: Optional[int] = None) -> ProblemInstance:
     """Every consulted list is the same singleton: delta={r}, nu={lam},
     xi={mu} (via the defaults)."""
-    if kind == WEDCE:
-        cs = ConstraintSet(r=r, delta_e={e: {r} for e in g.edges()})
-    else:
-        cs = ConstraintSet(
-            r=r,
-            lam=lam if kind in (WERE, WSRE) else None,
-            mu=mu if kind == WSRE else None,
-            delta_v={v: {r} for v in g.vertices()},
-            nu_default={lam} if kind in (WERE, WSRE) else None,
-            xi_default={mu} if kind == WSRE else None,
-        )
-    return ProblemInstance(kind=kind, graph=g, constraints=cs, ops=ops, k=k)
+    value = {"r": r, "lam": lam, "mu": mu}
+    given = {}
+    for f in CONSULTED[kind]:
+        x = given[f.bound] = value[f.bound]
+        if f.default is None:
+            given[f.store] = {e: {x} for e in _ELEMENTS[f.elements](g)}
+        elif x is not None:
+            given[f.default] = {x}
+    return ProblemInstance(kind=kind, graph=g, constraints=ConstraintSet(**given),
+                           ops=ops, k=k)
 
 
 def pinned_lists(kind: str, g: WeightedGraph, near=None) -> Dict[str, dict]:
@@ -322,32 +353,25 @@ def pinned_lists(kind: str, g: WeightedGraph, near=None) -> Dict[str, dict]:
     xi); with a vertex set ``near``, only the elements with an end in it."""
     m = measures(g.vertices(), g.edges(), g.edge_weights(), kind)
 
-    def pin(keys, vals, pairs=True):
+    def pin(f):
         # a vertex id may itself be a tuple (line graphs), so only pairs split
+        keys, vals, vertex = getattr(m, f.elements), getattr(m, f.values), f.on_vertices
         return {x: frozenset((c,)) for x, c in zip(keys, vals) if near is None
-                or (x[0] in near or x[1] in near if pairs else x in near)}
+                or (x in near if vertex else x[0] in near or x[1] in near)}
 
-    if kind == WEDCE:
-        return {"delta_e": pin(m.edges, m.edeg)}
-    out = {"delta_v": pin(m.verts, m.wdeg, pairs=False)}
-    if kind in (WERE, WSRE):
-        out["nu"] = pin(m.edges, m.ecom)
-    if kind == WSRE:
-        out["xi"] = pin(m.pairs, m.pcom)
-    return out
+    return {f.store: pin(f) for f in CONSULTED[kind]}
 
 
 def exact_instance(kind: str, g: WeightedGraph, k: int, ops: Iterable[str]) -> ProblemInstance:
     """Every list pinned to the singleton of g's current measure, so the
     instance holds as-is; r, lambda and mu are the largest pinned values."""
-    pins = pinned_lists(kind, g)
-    top = {name: max((x for s in lists.values() for x in s), default=0)
-           for name, lists in pins.items()}
-    lam, mu = top.get("nu"), top.get("xi")
-    cs = ConstraintSet(r=top.get("delta_v", top.get("delta_e")), lam=lam, mu=mu,
-                       nu_default=None if lam is None else {0},
-                       xi_default=None if mu is None else {0}, **pins)
-    return ProblemInstance(kind=kind, graph=g, constraints=cs, ops=ops, k=k)
+    given = pinned_lists(kind, g)
+    for f in CONSULTED[kind]:
+        given[f.bound] = max((x for s in given[f.store].values() for x in s), default=0)
+        if f.default:
+            given[f.default] = {0}
+    return ProblemInstance(kind=kind, graph=g, constraints=ConstraintSet(**given),
+                           ops=ops, k=k)
 
 
 # -- edit scripts -----------------------------------------------------------
@@ -420,25 +444,26 @@ def _apply_steps(g: WeightedGraph, steps: Tuple[tuple, ...]):
             if op == VDEL:
                 v = step[1]
                 if v not in vw:
-                    raise KeyError(f"no vertex {v!r}")
+                    raise ValueError(f"no vertex {v!r}")
                 cost += vw.pop(v)
             elif op == EDEL:
                 e = edge_key(step[1], step[2])
                 if e not in ew or e[0] not in vw or e[1] not in vw:
-                    raise KeyError(f"no edge {e!r}")
+                    raise ValueError(f"no edge {e!r}")
                 cost += ew.pop(e)
             else:
-                u, v = step[1], step[2]
-                if u not in vw or v not in vw:
-                    raise KeyError("endpoint missing")
-                e = edge_key(u, v)
+                # refused as WeightedGraph.add_edge refuses it
+                e = edge_key(step[1], step[2])
+                if e[0] == e[1]:
+                    raise ValueError(f"self-loop at {e[0]!r}")
+                if e[0] not in vw or e[1] not in vw:
+                    end = e[0] if e[0] not in vw else e[1]
+                    raise ValueError(f"edge {e!r} references missing vertex {end!r}")
                 if e in ew:
                     raise ValueError(f"edge {e!r} already present")
-                if u == v:
-                    raise ValueError(f"self-loop at {u!r}")
                 ew[e] = 1
                 cost += 1
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"illegal edit at step {i} ({step!r}): {exc}") from None
     return vw, {e: w for e, w in ew.items() if e[0] in vw and e[1] in vw}, cost
 
@@ -507,34 +532,19 @@ def measures(verts: tuple, edges: tuple, weights: Mapping,
 
 
 def violations(inst: ProblemInstance, m: Measures) -> Iterator[tuple]:
-    """Each constraint of ``inst`` that ``m`` breaks, as ``(v,)`` or ``(u, v)``:
-    WEDCE edge degrees; else vertex degrees, then nu on edges (WERE, WSRE),
-    then xi on non-adjacent pairs (WSRE)."""
+    """Each constraint of ``inst`` that ``m`` breaks, as ``(v,)`` or ``(u, v)``,
+    family by family in ``CONSULTED`` order: WEDCE edge degrees; else vertex
+    degrees, then nu on edges (WERE, WSRE), then xi on non-adjacent pairs
+    (WSRE)."""
     cs = inst.constraints
-    kind = inst.kind
-    # A stored list is never empty; on a miss, try the default, then the accessor.
-    if kind == WEDCE:
-        stored = cs.delta_e.get
-        for e, d in zip(m.edges, m.edeg):
-            if d not in (stored(e) or cs.delta_of_edge(*e)):
-                yield e
-        return
-    stored = cs.delta_v.get
-    for v, d in zip(m.verts, m.wdeg):
-        if d not in (stored(v) or cs.delta_of_vertex(v)):
-            yield (v,)
-    if kind == WDCE:
-        return
-    stored, default = cs.nu.get, cs.nu_default
-    for e, c in zip(m.edges, m.ecom):
-        if c not in (stored(e) or default or cs.nu_of(*e)):
-            yield e
-    if kind == WERE:
-        return
-    stored, default = cs.xi.get, cs.xi_default
-    for p, c in zip(m.pairs, m.pcom):
-        if c not in (stored(p) or default or cs.xi_of(*p)):
-            yield p
+    for f in CONSULTED[inst.kind]:
+        # A stored list is never empty; a miss takes the default, and with
+        # none ``_list_of`` raises.
+        stored = getattr(cs, f.store).get
+        default = f.default and getattr(cs, f.default)
+        for x, c in zip(getattr(m, f.elements), getattr(m, f.values)):
+            if c not in (stored(x) or default or cs._list_of(f, x)):
+                yield (x,) if f.on_vertices else x
 
 
 def check_constraints(inst: ProblemInstance, g: WeightedGraph) -> bool:

@@ -151,6 +151,34 @@ class TestStarViolation:
         inst = ProblemInstance(kind=WERE, graph=g, constraints=cs, ops={VDEL}, k=0)
         assert "nu" in star_violation(inst)
 
+    # cycle(5) has non-edges (0, 2), (0, 3), (1, 3), (1, 4) and (2, 4);
+    # line_graph(cycle(4)) has the edge tuples of cycle(4) as its vertex ids
+    WIDE = [
+        (WDCE, cycle(5), dict(r=2, delta_v={0: {2}, 1: {2}, 2: {2}, 3: {1, 2}, 4: {2}}),
+         "delta(3)"),
+        (WEDCE, cycle(5), dict(r=4, delta_e={(0, 1): {3, 4}, (1, 2): {4}, (2, 3): {4},
+                                             (3, 4): {4}, (0, 4): {4}}),
+         "delta(0,1)"),
+        (WDCE, line_graph(cycle(4)), dict(r=2, delta_v={(0, 1): {2}, (0, 3): {2},
+                                                       (1, 2): {1, 2}, (2, 3): {2}}),
+         "delta((1, 2))"),
+        (WERE, cycle(5), dict(r=2, lam=1, nu={(1, 0): {0, 1}}, nu_default={0}), "nu(0, 1)"),
+        (WERE, cycle(5), dict(r=2, lam=1, nu={(0, 2): {0, 1}}, nu_default={0}), "nu(0, 2)"),
+        (WERE, cycle(5), dict(r=2, lam=1, nu={(0, 1): {0}}, nu_default={0, 1}), "nu default"),
+        (WSRE, cycle(5), dict(r=2, lam=0, mu=1, xi={(0, 2): {0, 1}}, xi_default={1}),
+         "xi(0, 2)"),
+        (WSRE, cycle(5), dict(r=2, lam=0, mu=1, xi={(0, 2): {1}}, xi_default={0, 1}),
+         "xi default"),
+    ]
+
+    @pytest.mark.parametrize("kind, g, lists, wide", WIDE)
+    def test_names_the_first_wide_list(self, kind, g, lists, wide):
+        if kind != WEDCE:
+            lists = {"delta_v": {v: {2} for v in g.vertices()}, **lists}
+        inst = ProblemInstance(kind=kind, graph=g, constraints=ConstraintSet(**lists),
+                               ops={VDEL}, k=0)
+        assert star_violation(inst) == f"{wide} is not a singleton"
+
 
 def broken(inst, g):
     """Every constraint of ``inst`` that ``g`` breaks, in checking order."""
@@ -164,6 +192,12 @@ class TestCheckConstraints:
         assert check_constraints(inst, inst.graph)
         assert broken(inst, inst.graph) == []
         assert broken(inst, inst.graph.delete_edge(0, 1)) == [(0,), (1,)]
+
+    def test_missing_edge_list_raises(self):
+        inst = uniform_instance(WEDCE, cycle(5), r=4, k=0, ops={VDEL})
+        with pytest.raises(KeyError) as info:
+            check_constraints(inst, WeightedGraph({0: 1, 2: 1}, {(0, 2): 1}))
+        assert info.value.args == ("no delta list stored for edge (0,2)",)
 
     def test_wedce_checks_edge_degrees_only(self):
         inst = uniform_instance(WEDCE, cycle(4), r=4, k=0, ops={VDEL})
@@ -271,16 +305,16 @@ class TestEditScripts:
     # `dcedit verify` prints these after "INVALID: ", so they are pinned
     # byte for byte; the graph is a star on centre 0 with (0, 1) of weight 3
     ILLEGAL = [
-        ((("vdel", 7),), "illegal edit at step 0 (('vdel', 7)): 'no vertex 7'"),
-        ((("edel", 1, 2),), "illegal edit at step 0 (('edel', 1, 2)): 'no edge (1, 2)'"),
-        ((("vdel", 0), ("vdel", 0)), "illegal edit at step 1 (('vdel', 0)): 'no vertex 0'"),
+        ((("vdel", 7),), "illegal edit at step 0 (('vdel', 7)): no vertex 7"),
+        ((("edel", 1, 2),), "illegal edit at step 0 (('edel', 1, 2)): no edge (1, 2)"),
+        ((("vdel", 0), ("vdel", 0)), "illegal edit at step 1 (('vdel', 0)): no vertex 0"),
         ((("vdel", 0), ("edel", 0, 1)),
-         "illegal edit at step 1 (('edel', 0, 1)): 'no edge (0, 1)'"),
+         "illegal edit at step 1 (('edel', 0, 1)): no edge (0, 1)"),
         ((("eadd", 1, 0),), "illegal edit at step 0 (('eadd', 1, 0)): edge (0, 1) already present"),
         ((("eadd", 1, 2), ("eadd", 2, 1)),
          "illegal edit at step 1 (('eadd', 2, 1)): edge (1, 2) already present"),
         ((("vdel", 3), ("eadd", 1, 3)),
-         "illegal edit at step 1 (('eadd', 1, 3)): 'endpoint missing'"),
+         "illegal edit at step 1 (('eadd', 1, 3)): edge (1, 3) references missing vertex 3"),
         ((("eadd", 2, 2),), "illegal edit at step 0 (('eadd', 2, 2)): self-loop at 2"),
         ((("vadd", 5),), "illegal edit at step 0 (('vadd', 5)): unknown operation 'vadd'"),
         (((),), "illegal edit at step 0 (()): unknown operation None"),
@@ -375,8 +409,8 @@ def _random_steps(rng, g):
 def test_replay_matches_the_graph_methods():
     """``EditScript.build`` and ``apply_edit_script`` replay on the weight
     maps alone; they give the graph, cost and refused step that the graph's
-    own methods give, step by step, with the same message for a missing
-    vertex or edge."""
+    own methods give, step by step, with the same message for every step
+    that is not malformed."""
     seen = dict.fromkeys(("vdel after eadd", "after vdel", "junk", "repeat"), 0)
     for seed in range(2000):
         rng = random.Random(f"replay/{seed}")
@@ -403,8 +437,8 @@ def test_replay_matches_the_graph_methods():
             with pytest.raises(ValueError) as info:
                 replay(g, steps)
             assert str(info.value).startswith(prefix), (steps, str(info.value))
-            if isinstance(detail, KeyError):
-                assert str(info.value) == prefix + str(detail)
+            if steps[i] not in _JUNK:
+                assert str(info.value) == prefix + detail.args[0]
         gone = {s[1] for s in steps[:i] if s[0] == VDEL}
         if steps[i] in _JUNK:
             seen["junk"] += 1
