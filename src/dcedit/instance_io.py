@@ -2,19 +2,25 @@
 
 Instance files are line-oriented: ``#`` starts a comment, tokens are
 whitespace-separated, and ``{...}`` sets hold comma-separated integers or
-``a..b`` ranges.  Serialization is canonical — fixed directive order,
+``a..b`` ranges.  Besides its ``problem``, ``ops``, ``k``, ``r``, ``vertex``
+and ``edge`` lines, a file carries the lines of the lists its kind consults
+(``problems.CONSULTED``) and no other: ``delta=`` on every ``vertex`` line
+(WDCE, WERE, WSRE) or every ``edge`` line (WEDCE); ``lambda``, ``nu`` and
+``default nu`` lines for WERE and WSRE; ``mu``, ``xi`` and ``default xi``
+lines for WSRE only.  Serialization is canonical — fixed directive order,
 sorted ids, plain comma sets — so equal instances produce identical bytes
 and every serialized instance parses back to an equal instance.
 
 ``parse_instance`` reads the lines once, checking each on its own, then
-checks what they declare against each other, in a fixed order, so the
-first fault reported does not depend on how the file is laid out.  Text
+checks what they declare against each other in a fixed order: each check
+runs over every family, in ``CONSULTED`` order, before the next starts, so
+the first fault reported does not depend on how the file is laid out.  Text
 with no comment and no whitespace inside braces, which is all text the
 serializers write, is split with ``str.split`` alone; the regex that
 closes up spaced sets runs only on lines that need it.  A file repeats a
 few set tokens and ``weight=``/``delta=`` tails many times, so each
 distinct one is parsed once per file, and each distinct list is
-range-checked once per bound.  An ``a..b`` range is expanded only after
+range-checked once per family.  An ``a..b`` range is expanded only after
 both ends are checked against its bound (r, lambda or mu), so a range far
 past the bound is refused without being built.  These checks are all the
 checks ``WeightedGraph`` and ``ConstraintSet`` make, so the parser hands the
@@ -38,6 +44,9 @@ from .problems import (
     ConstraintSet,
     EditScript,
     ProblemInstance,
+    _DEFAULTED,
+    _DELTA_E,
+    _DELTA_V,
     _OP_RANK,
 )
 from .treewidth import TreeDecomposition
@@ -49,6 +58,8 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {msg}" if line is not None else msg)
 
 
+# the lines that carry one integer: the budget k and the bounds r, lambda, mu
+_INT_LINES = ("k", *BOUND_NAMES.values())
 _SET_RE = re.compile(r"\{[^{}]*\}")
 _SPACED_SET_RE = re.compile(r"\{[^{}]*\s[^{}]*\}")
 
@@ -143,8 +154,9 @@ def parse_instance(text: str) -> ProblemInstance:
     directives: Dict[str, Tuple[int, object]] = {}
     verts: Dict[int, Tuple[int, Tuple[int, Optional[str]]]] = {}
     edges: Dict[Tuple[int, int], Tuple[int, Tuple[int, Optional[str]]]] = {}
-    nu_pairs: Dict[Tuple[int, int], Tuple[int, str]] = {}
-    xi_pairs: Dict[Tuple[int, int], Tuple[int, str]] = {}
+    # label -> the pair lines of each family with a default (nu, xi), sorted
+    # into a list once every line is read
+    pairs: Dict[str, Dict[Tuple[int, int], Tuple[int, str]]] = {f.label: {} for f in _DEFAULTED}
     defaults: Dict[str, Tuple[int, str]] = {}
     sets: Dict[str, tuple] = {}  # set token -> its _parse_set
     tails: Dict[tuple, Tuple[int, Optional[str]]] = {}  # line tail -> its _parse_kv
@@ -193,7 +205,7 @@ def parse_instance(text: str) -> ProblemInstance:
             if kv is None:
                 kv = tails[tail] = _parse_kv(tail, ln, sets)
             verts[v] = (ln, kv)
-        elif head in ("nu", "xi"):
+        elif head in pairs:
             if len(toks) != 4:
                 raise ParseError(ln, f"`{head}` takes: <u> <v> {{...}}")
             try:
@@ -202,7 +214,7 @@ def parse_instance(text: str) -> ProblemInstance:
                 u, v = _int(toks[1], ln, "vertex id"), _int(toks[2], ln, "vertex id")
             if u == v:
                 raise ParseError(ln, f"`{head}` needs two distinct vertices")
-            store = nu_pairs if head == "nu" else xi_pairs
+            store = pairs[head]
             e = (u, v) if u < v else (v, u)
             if e in store:
                 raise ParseError(ln, f"duplicate `{head}` entry for {u} {v}")
@@ -216,99 +228,88 @@ def parse_instance(text: str) -> ProblemInstance:
             if not rest or any(op not in (VDEL, EDEL, EADD) for op in rest):
                 raise ParseError(ln, "ops takes a non-empty subset of: vdel edel eadd")
             set_directive("ops", frozenset(rest), ln)
-        elif head in ("k", "r", "lambda", "mu"):
+        elif head in _INT_LINES:
             if len(toks) != 2:
                 raise ParseError(ln, f"`{head}` takes one integer")
             set_directive(head, _int(toks[1], ln), ln)
         elif head == "default":
-            if len(toks) != 3 or toks[1] not in ("nu", "xi"):
-                raise ParseError(ln, "default takes: nu|xi {...}")
+            if len(toks) != 3 or toks[1] not in pairs:
+                raise ParseError(ln, f"default takes: {'|'.join(pairs)} {{...}}")
             if toks[1] in defaults:
                 raise ParseError(ln, f"duplicate `default {toks[1]}`")
             defaults[toks[1]] = (ln, parse_set(toks[2], ln))
         else:
             raise ParseError(ln, f"unknown directive {head!r}")
 
-    def need(name: str):
+    for name in ("problem", "ops", "k", "r"):
         if name not in directives:
             raise ParseError(None, f"missing `{name}` directive")
-        return directives[name]
-
-    _, kind = need("problem")
-    _, ops = need("ops")
-    _, k = need("k")
-    r_line, r = need("r")
+    kind, ops, k = directives["problem"][1], directives["ops"][1], directives["k"][1]
+    r_line, r = directives["r"]
     if r < 0:
         raise ParseError(r_line, "r must be non-negative")
-    stores = {f.store for f in CONSULTED[kind]}
-    uses_vdelta, uses_edelta = "delta_v" in stores, "delta_e" in stores
-    uses_nu, uses_xi = "nu" in stores, "xi" in stores
-    for name, used in (("lambda", uses_nu), ("mu", uses_xi)):
-        if name in directives and not used:
+    consulted = CONSULTED[kind]
+    # ConstraintSet's fields by name.  Each check below runs over every
+    # family before the next one starts, so the first fault does not depend
+    # on the line order.
+    given = {"r": r}
+    for f in _DEFAULTED:
+        name = BOUND_NAMES[f.bound]
+        if name in directives and f not in consulted:
             raise ParseError(directives[name][0], f"`{name}` does not apply to {kind}")
-    lam = directives.get("lambda", (None, r if uses_nu else None))[1]
-    mu = directives.get("mu", (None, r if uses_xi else None))[1]
-    if lam is not None and not 0 <= lam <= r:
-        raise ParseError(directives.get("lambda", (None,))[0],
-                         f"lambda={lam} out of range [0..{r}]")
-    if mu is not None and not 0 <= mu <= r:
-        raise ParseError(directives.get("mu", (None,))[0],
-                         f"mu={mu} out of range [0..{r}]")
-    nu_items, xi_items = sorted(nu_pairs.items()), sorted(xi_pairs.items())
-    for name, used, items in (("nu", uses_nu, nu_items), ("xi", uses_xi, xi_items)):
+    for f in _DEFAULTED:
+        name = BOUND_NAMES[f.bound]
+        ln, hi = directives.get(name, (None, r if f in consulted else None))
+        if hi is not None and not 0 <= hi <= r:
+            raise ParseError(ln, f"{name}={hi} out of range [0..{r}]")
+        given[f.bound] = hi
+    for f in _DEFAULTED:
+        items = pairs[f.label] = sorted(pairs[f.label].items())
+        if items and f not in consulted:
+            raise ParseError(items[0][1][0], f"`{f.label}` does not apply to {kind}")
         for (u, v), (ln, _) in items:
-            if not used:
-                raise ParseError(ln, f"`{name}` does not apply to {kind}")
             if u not in verts or v not in verts:
-                raise ParseError(ln, f"`{name}` references an undeclared vertex")
-        if name in defaults and not used:
-            raise ParseError(defaults[name][0], f"`default {name}` does not apply to {kind}")
+                raise ParseError(ln, f"`{f.label}` references an undeclared vertex")
+        if f.label in defaults and f not in consulted:
+            raise ParseError(defaults[f.label][0],
+                             f"`default {f.label}` does not apply to {kind}")
 
-    checked: Dict[Tuple[str, int], frozenset] = {}
-
-    def values(tok: str, hi: int, ln: int, what: str) -> frozenset:
-        vals = checked.get((tok, hi))
-        if vals is None:
-            vals = checked[tok, hi] = _bounded_set(sets[tok], hi, ln, what)
-        return vals
-
-    dv, de = {}, {}
-    for v, (ln, (w, delta)) in sorted(verts.items()):
-        if w < 1:
-            raise ParseError(ln, f"vertex weight must be >= 1, got {w}")
-        if delta is None:
-            if uses_vdelta:
-                raise ParseError(ln, f"{kind} requires delta={{...}} on vertex {v}")
-        elif not uses_vdelta:
-            raise ParseError(ln, f"vertex delta does not apply to {kind}")
-        else:
-            dv[v] = values(delta, r, ln, "delta")
-    for (u, v), (ln, (w, delta)) in sorted(edges.items()):
-        if u not in verts or v not in verts:
-            raise ParseError(ln, "edge references an undeclared vertex")
-        if w < 1:
-            raise ParseError(ln, f"edge weight must be >= 1, got {w}")
-        if delta is None:
-            if uses_edelta:
-                raise ParseError(ln, f"{kind} requires delta={{...}} on edge {u} {v}")
-        elif not uses_edelta:
-            raise ParseError(ln, f"edge delta does not apply to {kind}")
-        else:
-            de[(u, v)] = values(delta, r, ln, "delta")
-    nu = {e: values(tok, lam, ln, "nu") for e, (ln, tok) in nu_items}
-    xi = {e: values(tok, mu, ln, "xi") for e, (ln, tok) in xi_items}
-    nu_default = xi_default = None
-    if "nu" in defaults:
-        ln, tok = defaults["nu"]
-        nu_default = values(tok, lam, ln, "default nu")
-    if "xi" in defaults:
-        ln, tok = defaults["xi"]
-        xi_default = values(tok, mu, ln, "default xi")
+    # each family checks a set token against its bound once: a checked set
+    # is never empty, so ``known.get(tok) or known.setdefault(...)`` checks
+    # only a token that ``known`` does not hold yet
+    known: Dict[str, frozenset] = {}
+    for f, noun, lines in ((_DELTA_V, "vertex", verts), (_DELTA_E, "edge", edges)):
+        on_edges, used = lines is edges, f in consulted
+        lists = given[f.store] = {}
+        for x, (ln, (w, delta)) in sorted(lines.items()):
+            if on_edges and (x[0] not in verts or x[1] not in verts):
+                raise ParseError(ln, "edge references an undeclared vertex")
+            if w < 1:
+                raise ParseError(ln, f"{noun} weight must be >= 1, got {w}")
+            if delta is None:
+                if used:
+                    where = f"{x[0]} {x[1]}" if on_edges else x
+                    raise ParseError(ln, f"{kind} requires delta={{...}} on {noun} {where}")
+            elif not used:
+                raise ParseError(ln, f"{noun} delta does not apply to {kind}")
+            else:
+                lists[x] = known.get(delta) or known.setdefault(
+                    delta, _bounded_set(sets[delta], r, ln, "delta"))
+    for f in _DEFAULTED:
+        hi, known = given[f.bound], {}
+        lists = given[f.store] = {}
+        for e, (ln, tok) in pairs[f.label]:
+            lists[e] = known.get(tok) or known.setdefault(
+                tok, _bounded_set(sets[tok], hi, ln, f.label))
+    for f in _DEFAULTED:
+        ln, tok = defaults.get(f.label, (None, None))
+        given[f.default] = tok and _bounded_set(sets[tok], given[f.bound], ln,
+                                                f"default {f.label}")
     graph = WeightedGraph._owning({v: w for v, (_, (w, _)) in verts.items()},
                                   {e: w for e, (_, (w, _)) in edges.items()})
-    cs = ConstraintSet._owning(r, lam, mu, dv, de, nu, xi, nu_default, xi_default)
     try:
-        return ProblemInstance(kind=kind, graph=graph, constraints=cs, ops=ops, k=k)
+        return ProblemInstance(kind=kind, graph=graph, constraints=ConstraintSet._owning(given),
+                               ops=ops, k=k)
     except ValueError as exc:
         raise ParseError(None, str(exc)) from None
 
@@ -318,10 +319,8 @@ def _fmt_set(vals) -> str:
 
 
 def serialize_instance(inst: ProblemInstance) -> str:
-    cs = inst.constraints
+    cs, g = inst.constraints, inst.graph
     families = CONSULTED[inst.kind]
-    stores = {f.store for f in families}
-    uses_vdelta, uses_edelta = "delta_v" in stores, "delta_e" in stores
     # the families with a default are written as pair lines under their own bound
     paired = [f for f in families if f.default]
     lines = [
@@ -334,16 +333,13 @@ def serialize_instance(inst: ProblemInstance) -> str:
         lines.append(f"{BOUND_NAMES[f.bound]} {getattr(cs, f.bound)}")
     for f in paired:
         lines.append(f"default {f.label} {_fmt_set(getattr(cs, f.default))}")
-    for v in inst.graph.vertices():
-        entry = f"vertex {v} weight={inst.graph.vertex_weight(v)}"
-        if uses_vdelta:
-            entry += f" delta={_fmt_set(cs.delta_v[v])}"
-        lines.append(entry)
-    for (u, v) in inst.graph.edges():
-        entry = f"edge {u} {v} weight={inst.graph.edge_weight(u, v)}"
-        if uses_edelta:
-            entry += f" delta={_fmt_set(cs.delta_e[u, v])}"
-        lines.append(entry)
+    for f, noun, weights in ((_DELTA_V, "vertex", g.vertex_weights()),
+                             (_DELTA_E, "edge", g.edge_weights())):
+        lists = getattr(cs, f.store) if f in families else None
+        for x in sorted(weights):
+            ids = x if f.on_vertices else f"{x[0]} {x[1]}"
+            delta = "" if lists is None else f" delta={_fmt_set(lists[x])}"
+            lines.append(f"{noun} {ids} weight={weights[x]}{delta}")
     for f in paired:
         for (u, v), vals in sorted(getattr(cs, f.store).items()):
             lines.append(f"{f.label} {u} {v} {_fmt_set(vals)}")

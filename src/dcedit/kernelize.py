@@ -24,7 +24,9 @@ fresh vertex u for rule 4, the kept layers for rules 5 and 6.  Rules 1 and 2
 only delete, so a *-variant instance stays one.
 
 Two deliberate differences from the naive rule statements, both forced by
-answer preservation on weighted instances (see the repository notes):
+answer preservation on weighted instances (``tests/test_kernelize.py`` pins
+them in ``TestRule1::test_repairable_degree_is_spared``,
+``TestRule5::test_deep_layers_absorbed`` and ``TestRule6::test_two_layers_survive``):
 
 * rule 1 deletes a vertex only when no affordable combination of incident
   edge removals can sink its weighted degree to r ("cost-aware" guard; on

@@ -45,14 +45,15 @@ EADD = "eadd"
 ALL_OPS = (VDEL, EDEL, EADD)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ListFamily:
     """One family of constraint lists: its ``label`` in messages and files,
     the ``ConstraintSet`` map (``store``) and default that hold it (no
     default: every element needs a stored list), the ``Measures`` fields of
     the elements it is kept on and of their measured values, and the
     ``ConstraintSet`` bound its values lie within.  ``on_vertices`` says
-    whether the elements are vertices (else vertex pairs)."""
+    whether the elements are vertices (else vertex pairs).  Each family is
+    one of the four rows below, so families compare by identity."""
 
     label: str
     store: str
@@ -81,6 +82,10 @@ CONSULTED = {
     WSRE: (_DELTA_V, _NU, _XI),
 }
 BOUND_NAMES = {"r": "r", "lam": "lambda", "mu": "mu"}
+# ``ConstraintSet``'s fields in its constructor's order: r, the paired
+# families' bounds, the four maps, the two defaults
+_FIELDS = ("r", *(f.bound for f in _DEFAULTED), *(f.store for f in FAMILIES),
+           *(f.default for f in _DEFAULTED))
 
 # a family's elements on a graph, by its ``elements`` field
 _ELEMENTS = {"verts": WeightedGraph.vertices, "edges": WeightedGraph.edges,
@@ -102,8 +107,7 @@ class ConstraintSet:
     range [0..lam] (resp. [0..mu]).
     """
 
-    __slots__ = ("r", "lam", "mu", "delta_v", "delta_e", "nu", "xi",
-                 "nu_default", "xi_default", "_key")
+    __slots__ = _FIELDS + ("_key",)
 
     def __init__(self, r: int, lam: Optional[int] = None, mu: Optional[int] = None,
                  delta_v: Optional[Dict] = None, delta_e: Optional[Dict] = None,
@@ -112,17 +116,14 @@ class ConstraintSet:
                  xi_default: Optional[Iterable[int]] = None):
         if r < 0:
             raise ValueError("r must be non-negative")
-        if lam is not None and not 0 <= lam <= r:
-            raise ValueError(f"lambda={lam} out of range [0..{r}]")
-        if mu is not None and not 0 <= mu <= r:
-            raise ValueError(f"mu={mu} out of range [0..{r}]")
-        self.r = r
-        self.lam = lam
-        self.mu = mu
         given = {"r": r, "lam": lam, "mu": mu, "delta_v": delta_v, "delta_e": delta_e,
                  "nu": nu, "xi": xi, "nu_default": nu_default, "xi_default": xi_default}
+        for f in _DEFAULTED:
+            hi = given[f.bound]
+            if hi is not None and not 0 <= hi <= r:
+                raise ValueError(f"{BOUND_NAMES[f.bound]}={hi} out of range [0..{r}]")
         for f in FAMILIES:
-            lists = _norm_sets(given[f.store] or {}, pair=not f.on_vertices)
+            lists = given[f.store] = _norm_sets(given[f.store] or {}, pair=not f.on_vertices)
             hi = given[f.bound]
             valid = set()  # a few distinct lists are shared by many keys
             for key, vals in lists.items():
@@ -135,35 +136,33 @@ class ConstraintSet:
                 if any(x < 0 or x > hi for x in vals):
                     raise ValueError(f"{f.label}[{key!r}]={sorted(vals)} outside [0..{hi}]")
                 valid.add(vals)
-            setattr(self, f.store, lists)
         for f in _DEFAULTED:
             if given[f.default] is not None:
                 vals = given[f.default] = frozenset(given[f.default])
                 hi = given[f.bound]
                 if hi is None or not vals or any(x < 0 or x > hi for x in vals):
                     raise ValueError(f"bad {f.label} default")
-        self._set_defaults(given)
+        self._take(given)
 
     @classmethod
-    def _owning(cls, r: int, lam: Optional[int], mu: Optional[int], delta_v: Dict,
-                delta_e: Dict, nu: Dict, xi: Dict, nu_default: Optional[frozenset],
-                xi_default: Optional[frozenset]) -> "ConstraintSet":
-        """A constraint set that takes ownership of the four maps as they are.
+    def _owning(cls, given: Mapping) -> "ConstraintSet":
+        """A constraint set that takes ownership of the fields ``given`` by
+        name, maps included, as they are.
 
         For callers that have already made every check of ``__init__``:
         bounds in range, frozenset values that are non-empty and within
         their bound, ``edge_key`` pair keys, frozenset defaults or None.
         """
         cs = cls.__new__(cls)
-        cs.r, cs.lam, cs.mu = r, lam, mu
-        cs.delta_v, cs.delta_e, cs.nu, cs.xi = delta_v, delta_e, nu, xi
-        cs._set_defaults({"lam": lam, "mu": mu, "nu_default": nu_default,
-                          "xi_default": xi_default})
+        cs._take(given)
         return cs
 
-    def _set_defaults(self, given: Mapping) -> None:
-        """Store the defaults ``given`` by name, a missing one as the full
-        range of its bound (also ``given`` by name)."""
+    def _take(self, given: Mapping) -> None:
+        """Store the fields ``given`` by name, a missing default as the full
+        range of its bound."""
+        self.r, self.lam, self.mu = given["r"], given["lam"], given["mu"]
+        self.delta_v, self.delta_e = given["delta_v"], given["delta_e"]
+        self.nu, self.xi = given["nu"], given["xi"]
         for f in _DEFAULTED:
             vals, hi = given[f.default], given[f.bound]
             if vals is None and hi is not None:
@@ -200,20 +199,17 @@ class ConstraintSet:
     # -- value plumbing -----------------------------------------------------
 
     def replace(self, **kw) -> "ConstraintSet":
-        base = dict(r=self.r, lam=self.lam, mu=self.mu, delta_v=self.delta_v,
-                    delta_e=self.delta_e, nu=self.nu, xi=self.xi,
-                    nu_default=self.nu_default, xi_default=self.xi_default)
+        base = {name: getattr(self, name) for name in _FIELDS}
         base.update(kw)
         return ConstraintSet(**base)
 
     def key(self) -> tuple:
         if self._key is None:
-            def fm(m):
-                return tuple(sorted((k, tuple(sorted(s))) for k, s in m.items()))
-            self._key = (self.r, self.lam, self.mu, fm(self.delta_v),
-                         fm(self.delta_e), fm(self.nu), fm(self.xi),
-                         None if self.nu_default is None else tuple(sorted(self.nu_default)),
-                         None if self.xi_default is None else tuple(sorted(self.xi_default)))
+            def canon(x):  # a map or a default as a sorted tuple
+                if isinstance(x, dict):
+                    return tuple(sorted((k, tuple(sorted(s))) for k, s in x.items()))
+                return tuple(sorted(x)) if isinstance(x, frozenset) else x
+            self._key = tuple(canon(getattr(self, name)) for name in _FIELDS)
         return self._key
 
     def __eq__(self, other):

@@ -214,6 +214,18 @@ class TestTw:
         assert run_cli(["tw", f, "--mode", "addition", "-r", "5"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("kind,out", [("WDCE", "YES\n"), ("WEDCE", "NO\n")])
+    def test_reads_the_parsed_graph(self, tmp_path, capsys, kind, out):
+        """`tw` reads the parsed instance's graph, and a WEDCE instance drops
+        its isolated vertices: the same four vertices and one edge answer
+        differently by kind (r=3 needs all four vertices)."""
+        delta_v, delta_e = (" delta={0}", "") if kind == "WDCE" else ("", " delta={2}")
+        lines = [f"problem {kind}", "ops vdel", "k 0", "r 3"]
+        lines += [f"vertex {v}{delta_v}" for v in range(4)] + [f"edge 2 3{delta_e}"]
+        f = self.write_graph(tmp_path, "\n".join(lines) + "\n")
+        assert run_cli(["tw", f, "--mode", "addition", "-r", "3"]) == (0 if out == "YES\n" else 1)
+        assert capsys.readouterr() == (out, "")
+
     def test_external_decomposition(self, tmp_path, capsys):
         f = self.fixture_c5(tmp_path)
         td = tmp_path / "c5.td"

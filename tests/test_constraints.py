@@ -55,6 +55,35 @@ class TestConstraintSet:
         with pytest.raises(ValueError):
             ConstraintSet(r=2, nu={(0, 1): {1}})
 
+    # The whole message of each refusal; the bounds are checked before any
+    # list, r before lambda before mu.
+    REFUSALS = [
+        (dict(r=-1, lam=5), "r must be non-negative"),
+        (dict(r=2, lam=3), "lambda=3 out of range [0..2]"),
+        (dict(r=2, lam=-1, mu=5), "lambda=-1 out of range [0..2]"),
+        (dict(r=2, lam=1, mu=3), "mu=3 out of range [0..2]"),
+        (dict(r=2, lam=5, delta_v={0: set()}), "lambda=5 out of range [0..2]"),
+        (dict(r=2, delta_v={0: set()}), "delta[0] is empty"),
+        (dict(r=2, delta_e={(1, 0): set()}), "delta[(0, 1)] is empty"),
+        (dict(r=2, lam=1, nu={(1, 0): set()}), "nu[(0, 1)] is empty"),
+        (dict(r=2, delta_v={0: {3}}), "delta[0]=[3] outside [0..2]"),
+        (dict(r=2, delta_e={(2, 1): {0, 5}}), "delta[(1, 2)]=[0, 5] outside [0..2]"),
+        (dict(r=2, lam=1, nu={(0, 1): {2}}), "nu[(0, 1)]=[2] outside [0..1]"),
+        (dict(r=2, mu=0, xi={(3, 1): {-1}}), "xi[(1, 3)]=[-1] outside [0..0]"),
+        (dict(r=2, nu={(0, 1): {1}}), "nu[(0, 1)] given without its bound"),
+        (dict(r=2, xi={(1, 0): {0}}), "xi[(0, 1)] given without its bound"),
+        (dict(r=2, nu_default={0}), "bad nu default"),
+        (dict(r=2, lam=1, nu_default={2}), "bad nu default"),
+        (dict(r=2, lam=1, nu_default=set()), "bad nu default"),
+        (dict(r=2, mu=1, xi_default={-1}), "bad xi default"),
+    ]
+
+    @pytest.mark.parametrize("kw,message", REFUSALS)
+    def test_refusal_messages(self, kw, message):
+        with pytest.raises(ValueError) as info:
+            ConstraintSet(**kw)
+        assert str(info.value) == message
+
     def test_missing_delta_raises_on_lookup(self):
         cs = ConstraintSet(r=2, delta_v={0: {1}})
         with pytest.raises(KeyError):

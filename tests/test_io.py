@@ -606,6 +606,20 @@ PINNED_DIAGNOSTICS = [
     ("first_error_by_vertex_id",
      _WDCE_FILE + "vertex 9 weight=0 delta={0}\nvertex 3 delta={7}\n",
      9, 'line 9: delta values [7] outside [0..2]'),
+    # several faults: each check runs over every family before the next
+    # check starts, families in CONSULTED order, so the first fault reported
+    # is the earliest check's, whatever the line order
+    ("multi_bound_applies_before_range",
+     _WERE_FILE.replace("lambda 1", "lambda 5") + "mu 1\n",
+     10, 'line 10: `mu` does not apply to WERE'),
+    ("multi_nu_entry_before_xi_entry", _WSRE_FILE + "xi 0 9 {0}\nnu 1 8 {0}\n",
+     13, 'line 13: `nu` references an undeclared vertex'),
+    ("multi_default_nu_before_default_xi",
+     _WSRE_FILE + "default xi {5}\ndefault nu {7}\n",
+     13, 'line 13: default nu values [7] outside [0..1]'),
+    ("multi_vertex_delta_before_nu_values",
+     _WERE_FILE.replace("nu 0 1 {0}", "nu 0 1 {5}") + "vertex 2 delta={9}\n",
+     10, 'line 10: delta values [9] outside [0..2]'),
     # layout: inner whitespace, comments after sets, tabs, CRLF
     ("inner_spaces_out_of_bound", _WDCE_FILE + "vertex 2 delta={ 0 , 5 }\n",
      8, 'line 8: delta values [0, 5] outside [0..2]'),
