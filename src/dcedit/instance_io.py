@@ -9,7 +9,9 @@ and ``edge`` lines, a file carries the lines of the lists its kind consults
 ``default nu`` lines for WERE and WSRE; ``mu``, ``xi`` and ``default xi``
 lines for WSRE only.  Serialization is canonical — fixed directive order,
 sorted ids, plain comma sets — so equal instances produce identical bytes
-and every serialized instance parses back to an equal instance.
+and every serialized instance parses back to an equal instance.  Vertex ids
+are integers in the file, so ``serialize_instance`` refuses an instance with
+any other id (a line graph's tuple ids, say) with a ``ValueError``.
 
 ``parse_instance`` reads the lines once, checking each on its own, then
 checks what they declare against each other in a fixed order: each check
@@ -320,6 +322,10 @@ def _fmt_set(vals) -> str:
 
 def serialize_instance(inst: ProblemInstance) -> str:
     cs, g = inst.constraints, inst.graph
+    for v in g.vertex_weights():
+        if type(v) is not int:  # bool included: the parser reads ints only
+            raise ValueError(f"vertex id {v!r} is not an integer; "
+                             "instance files name vertices by integers")
     families = CONSULTED[inst.kind]
     # the families with a default are written as pair lines under their own bound
     paired = [f for f in families if f.default]

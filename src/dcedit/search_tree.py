@@ -4,12 +4,13 @@ One engine, ``_search``, decides every instance whose ops are within
 {vdel, edel}; ``solve`` runs the exhaustive oracle only for ops with eadd.
 A node accepts when the budget is non-negative and every constraint holds,
 rejects when the budget is exhausted and a violation remains, and otherwise
-branches on a small hitting set of every possible repair.  A kind adds a
-strategy: where the first violation sits, its ordered list of repairs, and
-the branching factor bounding that list, with both ops / with vdel only:
-WDCE 2r+3 / r+2 on vertex degrees; WEDCE 2r+5 / r+3 on edge degrees; WERE
-3r+6 / r+3, adding nu on edges; WSRE the same, adding xi on non-adjacent
-pairs (beyond the paper).  The vertex kinds also name doomed vertices, which
+branches on a small hitting set of every possible repair.  A strategy,
+handed its kind, says where the first violation sits, its ordered list of
+repairs, and the branching factor bounding that list, with both ops / with
+vdel only: WDCE 2r+3 / r+2 on vertex degrees; WEDCE 2r+5 / r+3 on edge
+degrees; WERE and WSRE 3r+6 / r+3, adding one common-count rule: nu on
+edges, and for WSRE xi on non-adjacent pairs (beyond the paper), read off
+``CONSULTED``.  The vertex kinds also name doomed vertices, which
 every solution deletes; the engine deletes them before the node branches,
 without counting a node.  Every branch deletes a vertex or a whole edge at
 its full weight, as a solution does, so the deletions on the undo trail at
@@ -25,10 +26,11 @@ removed onto the graph's one undo trail.  Each strategy builds its
 violation sets in one scan of the new graph, then updates them from every
 deletion, reading its lists straight from the constraint maps and pushing
 what it changed onto the same trail, so a node costs what its edits touch
-rather than the whole graph.  A node marks the trail's length before its
-children and pops back to the mark after each one returns, which undoes
-the child's deletion, the forced deletions below it and the set updates of
-all of them.
+rather than the whole graph: the common-count rule rechecks only the pairs
+whose count or adjacency the deletion changed (``_WorkGraph.recounted``).
+A node marks the trail's length before its children and pops back to the
+mark after each one returns, which undoes the child's deletion, the forced
+deletions below it and the set updates of all of them.
 
 A child whose deletion spends the whole remaining budget is a leaf, and a
 leaf accepts only if the deletion leaves no violation.  A deletion changes
@@ -45,6 +47,7 @@ from typing import Iterable, List, Optional, Tuple
 from .graphs import WeightedGraph, edge_key
 from .oracle import brute_force_solve
 from .problems import (
+    CONSULTED,
     EDEL,
     VDEL,
     WDCE,
@@ -54,6 +57,7 @@ from .problems import (
     EditScript,
     ProblemInstance,
     SolveReport,
+    _XI,
     canonical_steps,
 )
 
@@ -85,8 +89,8 @@ class _WorkGraph:
     which pushes ``(set, added, dropped)`` for each violation set it changes
     (see ``_sync``).  ``undo_to(mark)`` pops the trail back to length
     ``mark`` and restores what each entry changed, putting a deleted
-    vertex's saved dict back.  ``touched``, ``gone``, ``rewired`` and
-    ``apart`` say what a change did.  Construction hands the new graph and
+    vertex's saved dict back.  ``touched``, ``gone`` and ``recounted`` say
+    what a change did.  Construction hands the new graph and
     the input's edge keys to ``strategy.start``, which builds the violation
     sets in one scan and pushes nothing onto the trail."""
 
@@ -125,28 +129,18 @@ class _WorkGraph:
         op, ref, saved = change
         return [edge_key(ref, y) for y in saved[1]] if op == VDEL else (ref,)
 
-    def rewired(self, change: tuple) -> Iterable:
-        """The present edges whose common-neighbour count ``change`` may
-        have changed."""
-        nbr = self.nbr
+    def recounted(self, change: tuple) -> set:
+        """The present pairs whose common-neighbour count ``change``
+        changed: every pair within a deleted vertex's neighbourhood, or each
+        end of a deleted edge with the other end's neighbours; and the pair
+        that an edge deletion parts."""
         op, ref, saved = change
         if op == VDEL:
             nbrs = saved[1]
-            return {edge_key(a, b) for a in nbrs for b in nbr[a] if b in nbrs}
+            return {(a, b) for a in nbrs for b in nbrs if a < b}
         u, v = ref
-        return {edge_key(x, y) for y in nbr[u].keys() & nbr[v].keys() for x in ref}
-
-    def apart(self, change: tuple) -> set:
-        """The present non-adjacent pairs whose common-neighbour count
-        ``change`` may have changed, and the pair an edge deletion parts."""
         nbr = self.nbr
-        op, ref, saved = change
-        if op == VDEL:
-            nbrs = saved[1]
-            return {(a, b) for a in nbrs for b in nbrs if a < b and b not in nbr[a]}
-        u, v = ref
-        return {edge_key(x, y) for x, o in ((u, v), (v, u))
-                for y in nbr[o] if y not in nbr[x]} | {ref}
+        return {edge_key(x, y) for x, o in ((u, v), (v, u)) for y in nbr[o]} | {ref}
 
     def _push(self, change: tuple) -> None:
         self.trail.append(change)
@@ -194,19 +188,22 @@ class _WorkGraph:
 
 
 class _Strategy:
-    """The per-kind part of the search.  Subclasses supply ``kind``;
-    ``factor(r, edel)``, the most children a node can have; ``start(g,
-    edges)``, which builds the strategy's violation sets from the new
-    working graph ``g`` and the input's edge keys ``edges``; ``update(g,
-    change)``, which brings those sets up to date with a deletion from
-    ``g`` through ``_sync``, on ``g.trail``; ``violation()``, the first
-    violated constraint of the graph or None when all hold; ``children(g,
-    bad)``, the ordered ``(op, ref)`` deletions that hit every way to fix
-    ``bad``; and ``stranded(reach)``, whether some violation has no end in
-    the vertex set ``reach`` and so outlives any deletion within it."""
+    """The per-kind part of the search, built from a constraint set and the
+    kind of the instance searched; one subclass may serve several kinds.
+    Subclasses supply ``factor(r, edel)``, the most children a node can
+    have; ``start(g, edges)``, which builds the strategy's violation sets
+    from the new working graph ``g`` and the input's edge keys ``edges``;
+    ``update(g, change)``, which brings those sets up to date with a
+    deletion from ``g`` through ``_sync``, on ``g.trail``; ``violation()``,
+    the first violated constraint of the graph or None when all hold;
+    ``children(g, bad)``, the ordered ``(op, ref)`` deletions that hit every
+    way to fix ``bad``; and ``stranded(reach)``, whether some violation has
+    no end in the vertex set ``reach`` and so outlives any deletion within
+    it."""
 
-    def __init__(self, cs):
+    def __init__(self, cs, kind: str):
         self.cs = cs
+        self.kind = kind
 
     def doomed(self):
         """The vertices that every solution deletes."""
@@ -224,24 +221,17 @@ def _sync(s: set, scope: Iterable, bad: set, trail: list) -> None:
         trail.append((s, added, dropped))
 
 
-def _off_common(nbr: dict, pairs: Iterable, lists: dict, default: frozenset) -> set:
-    """The pairs among ``pairs`` whose common-neighbour count in ``nbr``
-    leaves their list: the one stored in ``lists``, else ``default``."""
-    get = lists.get
-    return {(a, b) for (a, b) in pairs
-            if len(nbr[a].keys() & nbr[b].keys()) not in (get((a, b)) or default)}
-
-
-def _search(inst: ProblemInstance, cls: type) -> SolveReport:
-    """Depth-first bounded search tree over deletions, driven by a strategy
-    of class ``cls``; children are tried in the strategy's order, skipping
-    those whose operation ``inst.ops`` does not allow."""
-    if inst.kind != cls.kind:
-        raise ValueError(f"{cls.kind} search tree given a {inst.kind} instance")
+def _search(inst: ProblemInstance, kind: str, cls: type) -> SolveReport:
+    """Depth-first bounded search tree over deletions for a ``kind``
+    instance, driven by a strategy of class ``cls``; children are tried in
+    the strategy's order, skipping those whose operation ``inst.ops`` does
+    not allow."""
+    if inst.kind != kind:
+        raise ValueError(f"{kind} search tree given a {inst.kind} instance")
     if not inst.ops or not inst.ops <= {VDEL, EDEL}:
         raise ValueError(f"{inst.kind} search tree covers non-empty ops "
                          "within {vdel, edel}")
-    strategy = cls(inst.constraints)
+    strategy = cls(inst.constraints, kind)
     allow_v = VDEL in inst.ops
     allow_e = EDEL in inst.ops
     g = _WorkGraph(inst.graph, strategy)
@@ -311,8 +301,6 @@ class _Wedce(_Strategy):
     whole edges around it, chosen so that if none of them goes, what
     survives pins the edge degree above its target."""
 
-    kind = WEDCE
-
     @staticmethod
     def factor(r: int, edel: bool) -> int:
         return 2 * r + 5 if edel else r + 3
@@ -366,7 +354,7 @@ class _Wedce(_Strategy):
 
 def solve_wedce_bst(inst: ProblemInstance) -> SolveReport:
     """Five-step branching for WEDCE with ops within {vdel, edel}."""
-    return _search(inst, _Wedce)
+    return _search(inst, WEDCE, _Wedce)
 
 
 # -- WDCE, WERE and WSRE -----------------------------------------------------
@@ -377,8 +365,6 @@ class _Wdce(_Strategy):
     doomed (degrees cannot grow); else the least degree violator branches on
     deleting itself, or a neighbour or the whole edge to it, over neighbours
     enough to pin its degree above its target t <= r: 1 + 2(t+1) children."""
-
-    kind = WDCE
 
     @staticmethod
     def factor(r: int, edel: bool) -> int:
@@ -424,15 +410,17 @@ class _Wdce(_Strategy):
 
 def solve_wdce_bst(inst: ProblemInstance) -> SolveReport:
     """Degree branching for WDCE with ops within {vdel, edel}."""
-    return _search(inst, _Wdce)
+    return _search(inst, WDCE, _Wdce)
 
 
 class _Were(_Wdce):
-    """WDCE's rules; with no degree violation left, the least edge violating
-    nu branches on deleting either end, the edge, or one of t+1 common
-    neighbours or an edge to one: 3 + 3(t+1) children for t <= lambda <= r."""
-
-    kind = WERE
+    """WDCE's rules, for WERE and WSRE; with no degree violation left, the
+    least pair in ``bad_pairs`` branches: an edge whose common count leaves
+    nu on deleting either end, the edge, or one of t+1 common neighbours or
+    an edge to one, 3 + 3(t+1) <= 3r+6 children for t <= lambda <= r; a
+    non-adjacent pair leaving xi (WSRE) alike, minus the edge, 2 + 3(t+1)
+    <= 3r+5 children for t <= mu <= r.  With vdel only, 2 + (t+1) <= r+3
+    either way."""
 
     @staticmethod
     def factor(r: int, edel: bool) -> int:
@@ -440,14 +428,41 @@ class _Were(_Wdce):
 
     def start(self, g: _WorkGraph, edges: Iterable) -> None:
         super().start(g, edges)
-        # edges leaving nu; WSRE adds non-edges leaving xi
-        self.bad_pairs = _off_common(g.nbr, edges, self.cs.nu, self.cs.nu_default)
+        # WSRE keeps xi on the non-adjacent pairs, so it scans every pair
+        self.reads_xi = _XI in CONSULTED[self.kind]
+        nbr = g.nbr
+        if self.reads_xi:
+            vs = sorted(nbr)
+            edges = ((a, b) for i, a in enumerate(vs) for b in vs[i + 1:])
+        self.bad_pairs = self._off(nbr, edges)
 
     def update(self, g: _WorkGraph, change) -> None:
         super().update(g, change)
-        near = g.rewired(change)
-        bad = _off_common(g.nbr, near, self.cs.nu, self.cs.nu_default)
-        _sync(self.bad_pairs, {*near, *g.gone(change)}, bad, g.trail)
+        near = g.recounted(change)
+        bad = self._off(g.nbr, near)
+        if change[0] == VDEL:
+            near |= {p for p in self.bad_pairs if change[1] in p}
+        _sync(self.bad_pairs, near, bad, g.trail)
+
+    def _off(self, nbr: dict, pairs: Iterable) -> set:
+        """The pairs among ``pairs`` whose common-neighbour count in ``nbr``
+        leaves their list: nu on an edge, xi on a non-adjacent pair (WSRE
+        only), each the stored list, else the default."""
+        cs, reads_xi = self.cs, self.reads_xi
+        nu, nu_default, xi, xi_default = cs.nu.get, cs.nu_default, cs.xi.get, cs.xi_default
+        out = set()
+        for p in pairs:
+            a, b = p
+            na = nbr[a]
+            if b in na:
+                allowed = nu(p) or nu_default
+            elif reads_xi:
+                allowed = xi(p) or xi_default
+            else:
+                continue
+            if len(na.keys() & nbr[b].keys()) not in allowed:
+                out.add(p)
+        return out
 
     def violation(self):
         """As WDCE's, else the least pair in ``bad_pairs``."""
@@ -480,34 +495,12 @@ class _Were(_Wdce):
 
 def solve_were_bst(inst: ProblemInstance) -> SolveReport:
     """Branching solver for WERE with ops within {vdel, edel}."""
-    return _search(inst, _Were)
-
-
-class _Wsre(_Were):
-    """WERE's rules; a non-adjacent pair whose common count leaves xi joins
-    ``bad_pairs`` and branches like a nu edge minus the edge: 2 + 3(t+1) <=
-    3r+5 children for t <= mu <= r, 2 + (t+1) <= r+3 with vdel only."""
-
-    kind = WSRE
-
-    def start(self, g: _WorkGraph, edges: Iterable) -> None:
-        super().start(g, edges)
-        nbr, vs = g.nbr, sorted(g.nbr)
-        apart = ((a, b) for i, a in enumerate(vs) for b in vs[i + 1:] if b not in nbr[a])
-        self.bad_pairs |= _off_common(nbr, apart, self.cs.xi, self.cs.xi_default)
-
-    def update(self, g: _WorkGraph, change) -> None:
-        super().update(g, change)
-        near = g.apart(change)
-        bad = _off_common(g.nbr, near, self.cs.xi, self.cs.xi_default)
-        if change[0] == VDEL:
-            near |= {p for p in self.bad_pairs if change[1] in p}
-        _sync(self.bad_pairs, near, bad, g.trail)
+    return _search(inst, WERE, _Were)
 
 
 def solve_wsre(inst: ProblemInstance) -> SolveReport:
     """Branching solver for WSRE with ops within {vdel, edel}."""
-    return _search(inst, _Wsre)
+    return _search(inst, WSRE, _Were)
 
 
 # -- dispatch ---------------------------------------------------------------

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcedit.graphs import WeightedGraph, random_graph
+from dcedit.graphs import WeightedGraph, cycle, line_graph, random_graph
 from dcedit.instance_io import (
     ParseError,
     parse_decomposition,
@@ -198,6 +198,13 @@ class TestSerializeInstance:
             again = parse_instance(serialize_instance(inst))
             assert again == inst
             assert_built_as_public(again, inst)
+
+    def test_non_integer_ids_refused(self):
+        # a line graph names its vertices by edges of the graph it came from;
+        # written out, "vertex (0, 1)" would not parse back
+        inst = uniform_instance(WDCE, line_graph(cycle(4)), r=2, k=0, ops={VDEL})
+        with pytest.raises(ValueError, match=r"vertex id \(0, 1\) is not an integer"):
+            serialize_instance(inst)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10 ** 6))

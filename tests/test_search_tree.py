@@ -11,7 +11,7 @@ from dcedit.graphs import (
 )
 from dcedit.instance_io import parse_instance, serialize_instance
 from dcedit.kernelize import kernelize
-from dcedit.oracle import brute_force_solve
+from dcedit.oracle import brute_force_solve, enumerate_labeled_graphs
 from dcedit.problems import (
     ConstraintSet,
     EADD,
@@ -450,10 +450,16 @@ def _planted(kind, ops, n, k, budget, seed):
         cs = ConstraintSet(r=max(old.r, new.r), delta_e={**new.delta_e, **old.delta_e})
     elif kind == WDCE:
         cs = ConstraintSet(r=max(old.r, new.r), delta_v={**new.delta_v, **old.delta_v})
-    else:
+    elif kind == WERE:
         cs = ConstraintSet(r=max(old.r, new.r), lam=max(old.lam, new.lam),
                            delta_v={**new.delta_v, **old.delta_v},
                            nu={**new.nu, **old.nu}, nu_default={0})
+    else:
+        cs = ConstraintSet(r=max(old.r, new.r), lam=max(old.lam, new.lam),
+                           mu=max(old.mu, new.mu),
+                           delta_v={**new.delta_v, **old.delta_v},
+                           nu={**new.nu, **old.nu}, nu_default={0},
+                           xi={**new.xi, **old.xi}, xi_default={0})
     return ProblemInstance(kind, g, cs, ops, k if budget == "yes" else k - 1)
 
 
@@ -472,6 +478,11 @@ PLANTED = [
     (WDCE, {VDEL, EDEL}, 60, 3, "short", 1),
     (WDCE, {VDEL, EDEL}, 120, 3, "yes", 2),
     (WDCE, {VDEL}, 120, 3, "short", 0),
+    (WSRE, {VDEL, EDEL}, 30, 3, "yes", 2),
+    (WSRE, {VDEL, EDEL}, 60, 3, "short", 1),
+    (WSRE, {VDEL}, 60, 3, "yes", 0),
+    (WSRE, {EDEL}, 30, 3, "yes", 1),
+    (WSRE, {EDEL}, 60, 3, "short", 2),
 ]
 
 
@@ -493,6 +504,13 @@ class TestPinnedPlanted:
         (13, None),
         (41, (("vdel", 120), ("edel", 46, 106), ("edel", 85, 103))),
         (13, None),
+        # WSRE, recorded before nu and xi shared one common-count rule; with
+        # edel only the planted vertices cannot go
+        (54, (("vdel", 21), ("vdel", 30), ("edel", 11, 26))),
+        (13, None),
+        (27, (("vdel", 60), ("vdel", 61), ("vdel", 62))),
+        (10, None),
+        (15, None),
     ]
 
     def test_exact_nodes_and_witnesses(self):
@@ -622,9 +640,9 @@ class TestWorkGraphUndo:
         # immutable graphs
         rng = random.Random(31)
         strategies = {WDCE: search_tree._Wdce, WEDCE: search_tree._Wedce,
-                      WERE: search_tree._Were, WSRE: search_tree._Wsre}
+                      WERE: search_tree._Were, WSRE: search_tree._Were}
         for inst in _walk_instances():
-            strategy = strategies[inst.kind](inst.constraints)
+            strategy = strategies[inst.kind](inst.constraints, inst.kind)
             work = search_tree._WorkGraph(inst.graph, strategy)
             history, marks = [inst.graph], []
             self._check(inst, work, strategy, inst.graph)
@@ -684,6 +702,40 @@ class TestWorkGraphUndo:
         for inst in _walk_instances():
             solve(inst)
         assert undos > 400
+
+
+class _Silent:
+    """A strategy that keeps no violation sets, so a working graph can be
+    edited on its own."""
+
+    def start(self, g, edges):
+        pass
+
+    def update(self, g, change):
+        pass
+
+
+def test_recounted_is_exact_on_all_five_vertex_graphs():
+    # after each single deletion, recounted names exactly the present pairs
+    # whose common-neighbour count or adjacency changed
+    def view(g):
+        return {(a, b): (b in g.nbr[a], len(g.nbr[a].keys() & g.nbr[b].keys()))
+                for a in g.nbr for b in g.nbr if a < b}
+
+    checked = 0
+    for graph in enumerate_labeled_graphs(5):
+        work = search_tree._WorkGraph(graph, _Silent())
+        before = view(work)
+        for op, ref in [*((VDEL, v) for v in graph.vertices()),
+                        *((EDEL, e) for e in graph.edges())]:
+            (work.delete_vertex if op == VDEL else work.delete_edge)(ref)
+            after = view(work)
+            changed = {p for p, seen in after.items() if seen != before[p]}
+            assert work.recounted(work.trail[-1]) == changed, (graph.edges(), op, ref)
+            work.undo_to(0)
+            checked += 1
+    # five vertex deletions on each graph, and 5,120 edges over all of them
+    assert checked == 1024 * 5 + 5120
 
 
 @pytest.mark.parametrize("kind", [WDCE, WEDCE, WERE, WSRE])
