@@ -98,6 +98,21 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     return top, subs
 
 
+_BLOCK = 10 ** 4000
+
+
+def _digits(n: int) -> str:
+    """``str(n)`` for a non-negative int of any size: ``str`` refuses one of
+    more than 4,300 digits (Python 3.11+), so this writes 4,000 at a time."""
+    if n < _BLOCK:
+        return str(n)
+    blocks = []
+    while n >= _BLOCK:
+        n, low = divmod(n, _BLOCK)
+        blocks.append(f"{low:04000}")
+    return str(n) + "".join(reversed(blocks))
+
+
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as f:
         return f.read()
@@ -117,7 +132,7 @@ def _cmd_solve(args) -> int:
         code = 1
     if not oracle and args.stats:
         print(f"nodes_visited={rep.nodes_visited}", file=sys.stderr)
-        bound = rep.tree_bound if rep.tree_bound is not None else "-"
+        bound = _digits(rep.tree_bound) if rep.tree_bound is not None else "-"
         print(f"tree_bound={bound}", file=sys.stderr)
     return code
 

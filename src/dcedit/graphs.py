@@ -78,24 +78,9 @@ class WeightedGraph:
 
     @classmethod
     def build(cls, vertices: Iterable, edges: Iterable) -> "WeightedGraph":
-        """Convenience constructor.
-
-        ``vertices`` mixes bare ids (weight 1) and ``(id, weight)`` pairs;
-        ``edges`` mixes ``(u, v)`` (weight 1) and ``(u, v, weight)``.
-        """
-        vw = {}
-        for item in vertices:
-            if isinstance(item, tuple):
-                vw[item[0]] = item[1]
-            else:
-                vw[item] = 1
-        ew = {}
-        for item in edges:
-            if len(item) == 3:
-                ew[(item[0], item[1])] = item[2]
-            else:
-                ew[(item[0], item[1])] = 1
-        return cls(vw, ew)
+        """The graph on vertex ids ``vertices`` and ``(u, v)`` pairs
+        ``edges``, every weight 1."""
+        return cls(dict.fromkeys(vertices, 1), {(u, v): 1 for u, v in edges})
 
     # -- inspection ---------------------------------------------------------
 

@@ -5,16 +5,18 @@ One engine, ``_search``, decides every instance whose ops are within
 A node accepts when the budget is non-negative and every constraint holds,
 rejects when the budget is exhausted and a violation remains, and otherwise
 branches on a small hitting set of every possible repair.  A strategy,
-handed its kind, says where the first violation sits, its ordered list of
-repairs, and the branching factor bounding that list, with both ops / with
-vdel only: WDCE 2r+3 / r+2 on vertex degrees; WEDCE 2r+5 / r+3 on edge
-degrees; WERE and WSRE 3r+6 / r+3, adding one common-count rule: nu on
-edges, and for WSRE xi on non-adjacent pairs (beyond the paper), read off
-``CONSULTED``.  The vertex kinds also name doomed vertices, which
-every solution deletes; the engine deletes them before the node branches,
-without counting a node.  Every branch deletes a vertex or a whole edge at
-its full weight, as a solution does, so the deletions on the undo trail at
-an accepting node are the witness: within budget, not always the cheapest.
+handed its kind, keeps the current violations in the three sets of
+``_Strategy``, lists the ordered repairs of one violation, and gives the
+branching factor bounding that list, with both ops / with vdel only: WDCE
+2r+3 / r+2 on vertex degrees; WEDCE 2r+5 / r+3 on edge degrees; WERE and
+WSRE 3r+6 / r+3, adding one common-count rule: nu on edges, and for WSRE xi
+on non-adjacent pairs (beyond the paper), read off ``CONSULTED``.  The
+engine deletes the doomed vertices, which every solution deletes, without
+counting a node, then branches on the first violation: the least bad
+vertex, else the least bad pair.  Every branch deletes a vertex or a whole
+edge at its full weight, as a solution does, so the deletions on the undo
+trail at an accepting node are the witness: within budget, not always the
+cheapest.
 Branch sets are chosen greedily so that if no branch element is deleted,
 what survives around the violation pins its value above every reachable
 target: the child count stays within the factor and the search complete.
@@ -23,21 +25,26 @@ A solve edits one working graph in place, built once from the input as
 one map from each vertex to its neighbours' edge weights: each deletion
 updates that map and the weighted degrees in O(deg) and pushes what it
 removed onto the graph's one undo trail.  Each strategy builds its
-violation sets in one scan of the new graph, then updates them from every
-deletion, reading its lists straight from the constraint maps and pushing
-what it changed onto the same trail, so a node costs what its edits touch
-rather than the whole graph: the common-count rule rechecks only the pairs
-whose count or adjacency the deletion changed (``_WorkGraph.recounted``).
-A node marks the trail's length before its children and pops back to the
-mark after each one returns, which undoes the child's deletion, the forced
-deletions below it and the set updates of all of them.
+violation sets in one scan of the new graph, and the engine hands it every
+deletion to update them from, reading its lists straight from the
+constraint maps and pushing what it changed onto the same trail, so a node
+costs what its edits touch rather than the whole graph: the common-count
+rule rechecks only the pairs whose count or adjacency the deletion changed
+(``_WorkGraph.recounted``).  A node marks the trail's length before its
+children and pops back to the mark after each one returns, which undoes the
+child's deletion, the forced deletions below it and the set updates of all
+of them.
 
 A child whose deletion spends the whole remaining budget is a leaf, and a
 leaf accepts only if the deletion leaves no violation.  A deletion changes
 measures only within its reach: N[x] for deleting vertex x, the two ends for
 deleting an edge.  A violation with no end in the reach keeps its degree,
 edge degree and common-neighbour count, so when the strategy holds one, the
-leaf rejects: the engine counts it as a node and makes no edit.
+leaf rejects: the engine counts it as a node and makes no edit.  The
+reported ceiling is ``tr(b, min(k, n + m))``: each level deletes one of the
+input's n + m elements, so no search is deeper than that.  An empty graph,
+searched in one node whatever the budget, keeps the paper's ``tr(b, k)``,
+which the acceptance gate pins for WEDCE graphs with no edges.
 """
 
 from __future__ import annotations
@@ -83,29 +90,24 @@ class _WorkGraph:
     """The one graph a search edits in place: vertex weights ``vw``,
     neighbour maps ``nbr`` (``{v: {neighbour: edge weight}}``, each edge
     entered at both ends) and weighted degrees ``wd``.  A deletion costs
-    O(deg) and pushes its change onto ``trail``: ``(vdel, v, (weight,
-    {neighbour: edge weight}))``, the dict popped from ``nbr``, or ``(edel,
-    e, weight)``.  It then hands the change to ``update(self, change)``,
-    which pushes ``(set, added, dropped)`` for each violation set it changes
-    (see ``_sync``).  ``undo_to(mark)`` pops the trail back to length
-    ``mark`` and restores what each entry changed, putting a deleted
-    vertex's saved dict back.  ``touched``, ``gone`` and ``recounted`` say
-    what a change did.  Construction hands the new graph and
-    the input's edge keys to ``strategy.start``, which builds the violation
-    sets in one scan and pushes nothing onto the trail."""
+    O(deg), pushes its change onto ``trail`` and returns it: ``(vdel, v,
+    (weight, {neighbour: edge weight}))``, the dict popped from ``nbr``, or
+    ``(edel, e, weight)``.  The search hands that change to its strategy's
+    ``update``, which pushes ``(set, added, dropped)`` for each violation
+    set it changes (see ``_sync``).  ``undo_to(mark)`` pops the trail back
+    to length ``mark`` and restores what each entry changed, putting a
+    deleted vertex's saved dict back.  ``touched``, ``gone`` and
+    ``recounted`` say what a change did."""
 
-    __slots__ = ("vw", "nbr", "wd", "trail", "_update")
+    __slots__ = ("vw", "nbr", "wd", "trail")
 
-    def __init__(self, g: WeightedGraph, strategy: "_Strategy"):
+    def __init__(self, g: WeightedGraph):
         self.vw = dict(g.vertex_weights())
         self.nbr = nbr = {v: {} for v in self.vw}
-        ew = g.edge_weights()
-        for (u, v), w in ew.items():
+        for (u, v), w in g.edge_weights().items():
             nbr[u][v] = nbr[v][u] = w
         self.wd = {v: sum(ns.values()) for v, ns in nbr.items()}
         self.trail: list = []
-        self._update = strategy.update
-        strategy.start(self, ew.keys())
 
     def touched(self, change: tuple) -> Iterable:
         """The vertices whose weighted degree or presence ``change`` changed."""
@@ -142,26 +144,26 @@ class _WorkGraph:
         nbr = self.nbr
         return {edge_key(x, y) for x, o in ((u, v), (v, u)) for y in nbr[o]} | {ref}
 
-    def _push(self, change: tuple) -> None:
-        self.trail.append(change)
-        self._update(self, change)
-
-    def delete_vertex(self, v) -> None:
+    def delete_vertex(self, v) -> tuple:
         nbr, wd = self.nbr, self.wd
         lost = nbr.pop(v)
         for y, w in lost.items():
             del nbr[y][v]
             wd[y] -= w
         del wd[v]
-        self._push((VDEL, v, (self.vw.pop(v), lost)))
+        change = (VDEL, v, (self.vw.pop(v), lost))
+        self.trail.append(change)
+        return change
 
-    def delete_edge(self, e: tuple) -> None:
+    def delete_edge(self, e: tuple) -> tuple:
         u, v = e
         w = self.nbr[u].pop(v)
         del self.nbr[v][u]
         self.wd[u] -= w
         self.wd[v] -= w
-        self._push((EDEL, e, w))
+        change = (EDEL, e, w)
+        self.trail.append(change)
+        return change
 
     def undo_to(self, mark: int) -> None:
         trail, nbr, wd = self.trail, self.nbr, self.wd
@@ -190,24 +192,41 @@ class _WorkGraph:
 class _Strategy:
     """The per-kind part of the search, built from a constraint set and the
     kind of the instance searched; one subclass may serve several kinds.
-    Subclasses supply ``factor(r, edel)``, the most children a node can
-    have; ``start(g, edges)``, which builds the strategy's violation sets
-    from the new working graph ``g`` and the input's edge keys ``edges``;
-    ``update(g, change)``, which brings those sets up to date with a
-    deletion from ``g`` through ``_sync``, on ``g.trail``; ``violation()``,
-    the first violated constraint of the graph or None when all hold;
-    ``children(g, bad)``, the ordered ``(op, ref)`` deletions that hit every
-    way to fix ``bad``; and ``stranded(reach)``, whether some violation has
-    no end in the vertex set ``reach`` and so outlives any deletion within
-    it."""
+    Every strategy keeps the violations in three sets: ``doomed``, the
+    vertices whose degree is below their whole list, which every solution
+    deletes; ``bad_vertices``, the vertices whose degree leaves its list,
+    doomed ones included; ``bad_pairs``, WEDCE's edges whose edge degree
+    leaves its list, or the pairs whose common count leaves nu or xi.
+    WEDCE keeps only pairs, WDCE only vertices.  ``violation()`` and
+    ``stranded(reach)`` read the sets for every kind.  Subclasses supply
+    ``factor(r, edel)``, the most children a node can have; ``start(g,
+    edges)``, which builds the three sets from the new working graph ``g``
+    and the input's edge keys ``edges``; ``update(g, change)``, which brings
+    them up to date with a deletion from ``g`` through ``_sync``, on
+    ``g.trail``; and ``children(g, bad)``, the ordered ``(op, ref)``
+    deletions that hit every way to fix ``bad``."""
 
     def __init__(self, cs, kind: str):
         self.cs = cs
         self.kind = kind
 
-    def doomed(self):
-        """The vertices that every solution deletes."""
-        return ()
+    def violation(self):
+        """The first violated constraint: the least bad vertex as ``(v,)``,
+        else the least bad pair, else None when all hold."""
+        if self.bad_vertices:
+            return (min(self.bad_vertices),)
+        if self.bad_pairs:
+            return min(self.bad_pairs)
+        return None
+
+    def stranded(self, reach) -> bool:
+        """Does some violation have no end in the vertex set ``reach``, and
+        so outlive any deletion within it?"""
+        vs, pairs = self.bad_vertices, self.bad_pairs
+        # an empty set costs a truth test, not a generator
+        if vs and not vs.issubset(reach):
+            return True
+        return any(a not in reach and b not in reach for a, b in pairs) if pairs else False
 
 
 def _sync(s: set, scope: Iterable, bad: set, trail: list) -> None:
@@ -234,7 +253,10 @@ def _search(inst: ProblemInstance, kind: str, cls: type) -> SolveReport:
     strategy = cls(inst.constraints, kind)
     allow_v = VDEL in inst.ops
     allow_e = EDEL in inst.ops
-    g = _WorkGraph(inst.graph, strategy)
+    g = _WorkGraph(inst.graph)
+    strategy.start(g, inst.graph.edge_weights().keys())
+    # start has built the sets, and each later change edits them in place
+    update, doomed = strategy.update, strategy.doomed
     nodes = 0
     hit: Optional[tuple] = None
 
@@ -246,13 +268,13 @@ def _search(inst: ProblemInstance, kind: str, cls: type) -> SolveReport:
         nodes += 1
         if k < 0:
             return False
-        while doomed := strategy.doomed():
+        while doomed:
             # a deletion leaves doomed vertices doomed: all of them must fit
             if not allow_v or sum(g.vw[v] for v in doomed) > k:
                 return False
             v = min(doomed)
             k -= g.vw[v]
-            g.delete_vertex(v)
+            update(g, g.delete_vertex(v))
         bad = strategy.violation()
         if bad is None:
             # the deletions on the trail are this node's path from the root
@@ -271,7 +293,7 @@ def _search(inst: ProblemInstance, kind: str, cls: type) -> SolveReport:
             if cost == k and strategy.stranded(g.reach(op, ref)):
                 nodes += 1  # a leaf that rejects: see the module docstring
                 continue
-            (g.delete_vertex if op == VDEL else g.delete_edge)(ref)
+            update(g, (g.delete_vertex if op == VDEL else g.delete_edge)(ref))
             found = yield k - cost
             g.undo_to(mark)
             if found:
@@ -288,7 +310,9 @@ def _search(inst: ProblemInstance, kind: str, cls: type) -> SolveReport:
             stack.pop()
             answer = done.value
     witness = EditScript.build(inst.graph, hit) if answer else None
-    bound = tr(strategy.factor(inst.constraints.r, allow_e), max(inst.k, 0))
+    depth, size = max(inst.k, 0), inst.graph.n + inst.graph.m
+    # the empty graph keeps tr(b, k): see the module docstring
+    bound = tr(strategy.factor(inst.constraints.r, allow_e), min(depth, size or depth))
     return SolveReport(answer, witness, nodes, bound)
 
 
@@ -307,20 +331,15 @@ class _Wedce(_Strategy):
 
     def start(self, g: _WorkGraph, edges: Iterable) -> None:
         wd, delta = g.wd, self.cs.delta_e
+        self.doomed, self.bad_vertices = set(), set()
         # edges whose edge degree leaves the list
-        self.off = {e for e in edges if wd[e[0]] + wd[e[1]] not in delta[e]}
+        self.bad_pairs = {e for e in edges if wd[e[0]] + wd[e[1]] not in delta[e]}
 
     def update(self, g: _WorkGraph, change) -> None:
         wd, delta = g.wd, self.cs.delta_e
         near = g.incident(g.touched(change))
         bad = {e for e in near if wd[e[0]] + wd[e[1]] not in delta[e]}
-        _sync(self.off, near.union(g.gone(change)), bad, g.trail)
-
-    def violation(self):
-        return min(self.off, default=None)
-
-    def stranded(self, reach) -> bool:
-        return any(u not in reach and v not in reach for u, v in self.off)
+        _sync(self.bad_pairs, near.union(g.gone(change)), bad, g.trail)
 
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         u, v = bad
@@ -373,25 +392,16 @@ class _Wdce(_Strategy):
     def start(self, g: _WorkGraph, edges: Iterable) -> None:
         delta, wd = self.cs.delta_v, g.wd
         # degree outside the list; doomed: degree below the whole list
-        self.off = {v for v, d in wd.items() if d not in delta[v]}
-        self.low = {v for v in self.off if wd[v] < min(delta[v])}
+        self.bad_vertices = {v for v, d in wd.items() if d not in delta[v]}
+        self.doomed = {v for v in self.bad_vertices if wd[v] < min(delta[v])}
+        self.bad_pairs = set()
 
     def update(self, g: _WorkGraph, change) -> None:
         delta, wd = self.cs.delta_v, g.wd
         touched = g.touched(change)
         here = [(v, delta[v]) for v in touched if v in wd]
-        _sync(self.low, touched, {v for v, dv in here if wd[v] < min(dv)}, g.trail)
-        _sync(self.off, touched, {v for v, dv in here if wd[v] not in dv}, g.trail)
-
-    def doomed(self):
-        return self.low
-
-    def violation(self):
-        return (min(self.off),) if self.off else None
-
-    def stranded(self, reach) -> bool:
-        # doomed vertices are degree violators too, so ``off`` holds them
-        return any(v not in reach for v in self.off)
+        _sync(self.doomed, touched, {v for v, dv in here if wd[v] < min(dv)}, g.trail)
+        _sync(self.bad_vertices, touched, {v for v, dv in here if wd[v] not in dv}, g.trail)
 
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         (v,) = bad
@@ -463,14 +473,6 @@ class _Were(_Wdce):
             if len(na.keys() & nbr[b].keys()) not in allowed:
                 out.add(p)
         return out
-
-    def violation(self):
-        """As WDCE's, else the least pair in ``bad_pairs``."""
-        return super().violation() or min(self.bad_pairs, default=None)
-
-    def stranded(self, reach) -> bool:
-        return super().stranded(reach) or any(
-            a not in reach and b not in reach for a, b in self.bad_pairs)
 
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         if len(bad) == 1:

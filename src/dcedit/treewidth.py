@@ -20,8 +20,9 @@ a vertex of degree at most w.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .graphs import WeightedGraph, edge_key
@@ -71,19 +72,12 @@ def validate_decomposition(g: WeightedGraph, td: TreeDecomposition) -> bool:
     for (u, v) in g.edges():
         if not any(u in b and v in b for b in td.bags.values()):
             return False
-    for v in verts:
-        holding = {i for i, b in td.bags.items() if v in b}
-        first = next(iter(holding))
-        reach = {first}
-        stack = [first]
-        while stack:
-            for j in neigh[stack.pop()]:
-                if j in holding and j not in reach:
-                    reach.add(j)
-                    stack.append(j)
-        if reach != holding:
-            return False
-    return True
+    # the bags holding v induce a forest in the tree, and a forest on s
+    # nodes with c parts has s - c edges: connected iff one edge fewer
+    bags = td.bags
+    holding = Counter(chain.from_iterable(bags.values()))
+    linking = Counter(chain.from_iterable(bags[i] & bags[j] for (i, j) in td.tree))
+    return all(holding[v] - linking[v] == 1 for v in holding)
 
 
 def greedy_decomposition(g: WeightedGraph) -> TreeDecomposition:

@@ -10,6 +10,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ from dcedit.instance_io import (
 )
 from dcedit.oracle import brute_force_solve
 from dcedit.problems import KINDS
+from dcedit.search_tree import tr
 from dcedit.treewidth import greedy_decomposition
 
 from conftest import weighted_instance
@@ -71,6 +74,33 @@ class TestSolve:
         assert "nodes_visited=" in captured.err
         assert "tree_bound=" in captured.err
         assert "nodes_visited" not in captured.out
+
+    def test_large_budget_bound(self, tmp_path, capsys):
+        # no search is deeper than the n + m = 3 elements it can delete, so
+        # the ceiling is tr(5, 3), not tr(5, 10**8), which took minutes
+        p = tmp_path / "edge.wdce"
+        p.write_text("problem WDCE\nops vdel edel\nk 100000000\nr 1\n"
+                     "vertex 0 weight=1 delta={1}\nvertex 1 weight=1 delta={1}\n"
+                     "edge 0 1 weight=1\n")
+        start = time.perf_counter()
+        assert run_cli(["solve", str(p), "--stats"]) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("YES cost=0\n", "nodes_visited=1\ntree_bound=156\n")
+
+    def test_bound_of_any_size_prints(self, tmp_path, capsys):
+        # every edge of a 9,100-vertex path must go; the ceiling tr(3, 9099)
+        # has 4,342 digits, more than str() of an int writes (Python 3.11+)
+        n = 9100
+        lines = ["problem WDCE", "ops edel", f"k {n - 1}", "r 0"]
+        lines += [f"vertex {v} weight=1 delta={{0}}" for v in range(n)]
+        lines += [f"edge {v} {v + 1} weight=1" for v in range(n - 1)]
+        p = tmp_path / "path.wdce"
+        p.write_text("\n".join(lines) + "\n")
+        assert run_cli(["solve", str(p), "--stats"]) == 0
+        nodes, bound = capsys.readouterr().err.splitlines()
+        assert nodes == f"nodes_visited={n}"
+        assert bound.startswith("tree_bound=") and len(bound) == 11 + 4342
+        assert Decimal(bound[11:]) == tr(3, n - 1)
 
     def test_solve_verify_round_trip(self, k13_file, tmp_path, capsys):
         run_cli(["solve", k13_file])

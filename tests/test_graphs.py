@@ -60,6 +60,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             WeightedGraph({0: 1, 1: 1}, {(0, 1): 0})
 
+    def test_build_takes_plain_ids_and_pairs(self):
+        # every weight is 1, so a tuple is an id, never an (id, weight) pair
+        g = WeightedGraph.build([(0, 1), (1, 2)], [((0, 1), (1, 2))])
+        assert dict(g.vertex_weights()) == {(0, 1): 1, (1, 2): 1}
+        assert dict(g.edge_weights()) == {((0, 1), (1, 2)): 1}
+        with pytest.raises(ValueError):
+            WeightedGraph.build([0, 1], [(0, 1, 2)])
+
     def test_edge_key_canonical(self):
         assert edge_key(3, 1) == (1, 3) == edge_key(1, 3)
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from importlib import import_module
 
 import pytest
@@ -11,7 +12,7 @@ from dcedit.graphs import (
 )
 from dcedit.instance_io import parse_instance, serialize_instance
 from dcedit.kernelize import kernelize
-from dcedit.oracle import brute_force_solve, enumerate_labeled_graphs
+from dcedit.oracle import _universe, brute_force_solve, enumerate_labeled_graphs
 from dcedit.problems import (
     ConstraintSet,
     EADD,
@@ -24,6 +25,7 @@ from dcedit.problems import (
     WSRE,
     apply_edit_script,
     check_constraints,
+    violations,
 )
 from dcedit import search_tree
 from dcedit.search_tree import (
@@ -543,8 +545,7 @@ class TestPinnedPlanted:
 
 
 def _without_leaf_rule(monkeypatch):
-    for cls in (search_tree._Wedce, search_tree._Wdce, search_tree._Were):
-        monkeypatch.setattr(cls, "stranded", lambda self, reach: False)
+    monkeypatch.setattr(search_tree._Strategy, "stranded", lambda self, reach: False)
 
 
 class TestLeafRule:
@@ -567,7 +568,7 @@ class TestLeafRule:
             def wrapped(g, ref):
                 nonlocal edits
                 edits += 1
-                delete(g, ref)
+                return delete(g, ref)
             return wrapped
 
         cls = search_tree._WorkGraph
@@ -582,26 +583,84 @@ class TestLeafRule:
         assert solve(inst) == rep and edits >= rep.nodes_visited - 1
 
 
+STRATEGIES = {WDCE: search_tree._Wdce, WEDCE: search_tree._Wedce,
+              WERE: search_tree._Were, WSRE: search_tree._Were}
+
+
+def _started(inst):
+    """A working graph of ``inst`` and its kind's strategy, started on it."""
+    strategy = STRATEGIES[inst.kind](inst.constraints, inst.kind)
+    work = search_tree._WorkGraph(inst.graph)
+    strategy.start(work, inst.graph.edge_weights().keys())
+    return work, strategy
+
+
+def _root(inst):
+    """The search at the root of ``inst``: its doomed vertices, its first
+    violation, and when it branches, each child as an edit step paired with
+    the leaf rule's verdict on it."""
+    work, strategy = _started(inst)
+    doomed = set(strategy.doomed)
+    bad = strategy.violation()
+    if doomed or bad is None:
+        return doomed, bad, []
+    return doomed, bad, [((VDEL, ref) if op == VDEL else (op, *ref),
+                          strategy.stranded(work.reach(op, ref)))
+                         for op, ref in strategy.children(work, bad)]
+
+
+def test_root_rules_hold_on_all_five_vertex_graphs():
+    # the three search lemmas at the root, against every solution of cost
+    # <= 2: each solution deletes every doomed vertex; with none doomed, each
+    # takes one of the children; a child the leaf rule rejects leaves a
+    # violation when applied alone
+    seen = Counter()
+    for graph in enumerate_labeled_graphs(5):
+        for kind, bounds in ((WDCE, {}), (WEDCE, {}), (WERE, {"lam": 1}),
+                             (WSRE, {"lam": 1, "mu": 1})):
+            inst = uniform_instance(kind, graph, 2, 2, {VDEL, EDEL}, **bounds)
+            doomed, bad, children = _root(inst)
+            steps = {step for step, _ in children}
+            for cand in _universe(inst.graph, 2, False):
+                if next(violations(inst, cand), None) is not None:
+                    continue
+                solution = set(cand.steps)
+                assert {(VDEL, v) for v in doomed} <= solution, (inst, cand.steps)
+                assert not children or steps & solution, (inst, cand.steps)
+                seen["solutions"] += 1
+            seen["doomed"] += bool(doomed)
+            seen["branching"] += bool(children)
+            for step, stranded in children:
+                if stranded:
+                    edited = apply_edit_script(inst.graph, [step])
+                    assert not check_constraints(inst, edited), (inst, step)
+                    seen["stranded"] += 1
+    assert seen == {"solutions": 14693, "doomed": 2313, "branching": 1745,
+                    "stranded": 5439}
+
+
 def _full_scan(inst, g):
     """The strategy's view of ``g`` from scratch: its violation sets by
-    attribute name, the least doomed vertex (vertex kinds only), and the
-    first violation in sorted order, as the search defines it."""
+    attribute name, the least doomed vertex, and the first violation in
+    sorted order, as the search defines it."""
     cs = inst.constraints
     wd = {v: weighted_degree(g, v) for v in g.vertices()}
+    sets = {"doomed": set(), "bad_vertices": set(), "bad_pairs": set()}
     if inst.kind == WEDCE:
-        off = [(u, v) for (u, v) in g.edges() if wd[u] + wd[v] not in cs.delta_of_edge(u, v)]
-        return {"off": set(off)}, None, next(iter(off), None)
-    low = [v for v in g.vertices() if wd[v] < min(cs.delta_of_vertex(v))]
-    off = [v for v in g.vertices() if wd[v] not in cs.delta_of_vertex(v)]
-    sets = {"low": set(low), "off": set(off)}
+        sets["bad_pairs"] = {(u, v) for (u, v) in g.edges()
+                             if wd[u] + wd[v] not in cs.delta_of_edge(u, v)}
+    else:
+        sets["doomed"] = {v for v in g.vertices() if wd[v] < min(cs.delta_of_vertex(v))}
+        sets["bad_vertices"] = {v for v in g.vertices()
+                                if wd[v] not in cs.delta_of_vertex(v)}
     if inst.kind in (WERE, WSRE):
         sets["bad_pairs"] = {(a, b) for (a, b) in g.edges()
                              if common_neighbor_count(g, a, b) not in cs.nu_of(a, b)}
     if inst.kind == WSRE:
         sets["bad_pairs"] |= {(a, b) for (a, b) in g.non_adjacent_pairs()
                               if common_neighbor_count(g, a, b) not in cs.xi_of(a, b)}
-    bad = [(v,) for v in off] + sorted(sets.get("bad_pairs", ()))
-    return sets, next(iter(low), None), next(iter(bad), None)
+    bad = [(v,) for v in sorted(sets["bad_vertices"])] + sorted(sets["bad_pairs"])
+    return sets, min(sets["doomed"], default=None), next(iter(bad), None)
 
 
 def _weighted_deletions():
@@ -632,18 +691,15 @@ class TestWorkGraphUndo:
         sets, doomed, bad = _full_scan(inst, g)
         assert {name: val for name, val in vars(strategy).items()
                 if isinstance(val, set)} == sets
-        assert (min(strategy.doomed(), default=None), strategy.violation()) == (doomed, bad)
+        assert (min(strategy.doomed, default=None), strategy.violation()) == (doomed, bad)
 
     def test_seeded_walk_matches_rebuilt_graph(self):
         # random vertex and edge deletions, each after a mark, undone one to
         # three marks at a time, against the same deletions made on
         # immutable graphs
         rng = random.Random(31)
-        strategies = {WDCE: search_tree._Wdce, WEDCE: search_tree._Wedce,
-                      WERE: search_tree._Were, WSRE: search_tree._Were}
         for inst in _walk_instances():
-            strategy = strategies[inst.kind](inst.constraints, inst.kind)
-            work = search_tree._WorkGraph(inst.graph, strategy)
+            work, strategy = _started(inst)
             history, marks = [inst.graph], []
             self._check(inst, work, strategy, inst.graph)
             for _ in range(60):
@@ -656,11 +712,11 @@ class TestWorkGraphUndo:
                     marks.append(len(work.trail))
                     if not g.m or rng.random() < 0.3:
                         v = rng.choice(g.vertices())
-                        work.delete_vertex(v)
+                        strategy.update(work, work.delete_vertex(v))
                         history.append(g.delete_vertex(v))
                     else:
                         e = rng.choice(g.edges())
-                        work.delete_edge(e)
+                        strategy.update(work, work.delete_edge(e))
                         history.append(g.delete_edge(*e))
                 self._check(inst, work, strategy, history[-1])
             while marks:
@@ -675,11 +731,18 @@ class TestWorkGraphUndo:
         # length: just before the child's deletion
         cls = search_tree._WorkGraph
         undo_to = cls.undo_to
+        init = search_tree._Strategy.__init__
         at = {}
         undos = 0
+        strategies = []
+
+        def recorded_init(strategy, cs, kind):
+            init(strategy, cs, kind)
+            strategies.append(strategy)
 
         def snapshot(g):
-            sets = {name: set(val) for name, val in vars(g._update.__self__).items()
+            # a solve builds its one strategy before its first deletion
+            sets = {name: set(val) for name, val in vars(strategies[-1]).items()
                     if isinstance(val, set)}
             return (dict(g.vw), {v: dict(ns) for v, ns in g.nbr.items()},
                     dict(g.wd), sets)
@@ -687,7 +750,7 @@ class TestWorkGraphUndo:
         def recording(delete):
             def wrapped(g, ref):
                 at[len(g.trail)] = snapshot(g)
-                delete(g, ref)
+                return delete(g, ref)
             return wrapped
 
         def checked_undo_to(g, mark):
@@ -699,20 +762,10 @@ class TestWorkGraphUndo:
         monkeypatch.setattr(cls, "delete_vertex", recording(cls.delete_vertex))
         monkeypatch.setattr(cls, "delete_edge", recording(cls.delete_edge))
         monkeypatch.setattr(cls, "undo_to", checked_undo_to)
+        monkeypatch.setattr(search_tree._Strategy, "__init__", recorded_init)
         for inst in _walk_instances():
             solve(inst)
         assert undos > 400
-
-
-class _Silent:
-    """A strategy that keeps no violation sets, so a working graph can be
-    edited on its own."""
-
-    def start(self, g, edges):
-        pass
-
-    def update(self, g, change):
-        pass
 
 
 def test_recounted_is_exact_on_all_five_vertex_graphs():
@@ -724,14 +777,14 @@ def test_recounted_is_exact_on_all_five_vertex_graphs():
 
     checked = 0
     for graph in enumerate_labeled_graphs(5):
-        work = search_tree._WorkGraph(graph, _Silent())
+        work = search_tree._WorkGraph(graph)
         before = view(work)
         for op, ref in [*((VDEL, v) for v in graph.vertices()),
                         *((EDEL, e) for e in graph.edges())]:
-            (work.delete_vertex if op == VDEL else work.delete_edge)(ref)
+            change = (work.delete_vertex if op == VDEL else work.delete_edge)(ref)
             after = view(work)
             changed = {p for p, seen in after.items() if seen != before[p]}
-            assert work.recounted(work.trail[-1]) == changed, (graph.edges(), op, ref)
+            assert work.recounted(change) == changed, (graph.edges(), op, ref)
             work.undo_to(0)
             checked += 1
     # five vertex deletions on each graph, and 5,120 edges over all of them
