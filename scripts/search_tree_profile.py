@@ -7,11 +7,12 @@ budget the runs actually touch.  Useful for spotting branching regressions:
 `used%` can never pass 100, and a cell reaches 100 only when an instance's
 tree is complete, as WDCE's often are at r = 1: on a NO instance every child
 of a degree violator leaves another violator.  `us/node` is the solve wall
-time per visited node in microseconds; compare it across `--n` to see how
-the cost of a node grows with the graph.  It averages in the leaves that
-the search decides without an edit (a leaf that spends the budget while a
-violation lies beyond its deletion's reach), so it is not the cost of an
-edited node.
+time per visited node in microseconds, each solve timed as the best of
+three runs, so that a cell repeats between two runs of one build; compare
+it across `--n` to see how the cost of a node grows with the graph.  It
+averages in the leaves that the search decides without an edit (a leaf
+that spends the budget while a violation lies beyond its deletion's
+reach), so it is not the cost of an edited node.
 """
 
 import argparse
@@ -55,9 +56,12 @@ def main():
                     lam = rng.randint(0, r) if kind in (WERE, WSRE) else None
                     mu = rng.randint(0, r) if kind == WSRE else None
                     inst = uniform_instance(kind, g, r, k, ops, lam=lam, mu=mu)
-                    start = time.perf_counter()
-                    rep = solve(inst)
-                    elapsed += time.perf_counter() - start
+                    best = float("inf")
+                    for _ in range(3):
+                        start = time.perf_counter()
+                        rep = solve(inst)
+                        best = min(best, time.perf_counter() - start)
+                    elapsed += best
                     visited.append(rep.nodes_visited)
                     bound = rep.tree_bound
                 used = 100.0 * max(visited) / bound

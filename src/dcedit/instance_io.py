@@ -27,7 +27,10 @@ both ends are checked against its bound (r, lambda or mu), so a range far
 past the bound is refused without being built.  These checks are all the
 checks ``WeightedGraph`` and ``ConstraintSet`` make, so the parser hands the
 maps it built to their ``_owning`` constructors, which take them without a
-second check or copy; ``ProblemInstance`` still runs its own checks.
+second check or copy.  ``ProblemInstance`` still runs its own checks, but
+the parser makes each of them first, the last being that a WEDCE file's
+``ops`` line allows no ``eadd``, so every fault a file can hold is reported
+with its line.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .problems import (
     EDEL,
     KINDS,
     VDEL,
+    WEDCE,
     ConstraintSet,
     EditScript,
     ProblemInstance,
@@ -307,13 +311,12 @@ def parse_instance(text: str) -> ProblemInstance:
         ln, tok = defaults.get(f.label, (None, None))
         given[f.default] = tok and _bounded_set(sets[tok], given[f.bound], ln,
                                                 f"default {f.label}")
+    if kind == WEDCE and EADD in ops:
+        raise ParseError(directives["ops"][0], "edge addition is ill-defined for WEDCE")
     graph = WeightedGraph._owning({v: w for v, (_, (w, _)) in verts.items()},
                                   {e: w for e, (_, (w, _)) in edges.items()})
-    try:
-        return ProblemInstance(kind=kind, graph=graph, constraints=ConstraintSet._owning(given),
-                               ops=ops, k=k)
-    except ValueError as exc:
-        raise ParseError(None, str(exc)) from None
+    return ProblemInstance(kind=kind, graph=graph, constraints=ConstraintSet._owning(given),
+                           ops=ops, k=k)
 
 
 def _fmt_set(vals) -> str:

@@ -28,12 +28,14 @@ removed onto the graph's one undo trail.  Each strategy builds its
 violation sets in one scan of the new graph, and the engine hands it every
 deletion to update them from, reading its lists straight from the
 constraint maps and pushing what it changed onto the same trail, so a node
-costs what its edits touch rather than the whole graph: the common-count
-rule rechecks only the pairs whose count or adjacency the deletion changed
-(``_WorkGraph.recounted``).  A node marks the trail's length before its
-children and pops back to the mark after each one returns, which undoes the
-child's deletion, the forced deletions below it and the set updates of all
-of them.
+costs what its edits touch rather than the whole graph.  WEDCE's update is
+one pass over the edges at each end whose weighted degree moved, flipping
+an edge only when its verdict changed; WDCE's rechecks the touched
+vertices, and the common-count rule only the pairs whose count or adjacency
+the deletion changed (``_WorkGraph.recounted``), each handing what it found
+to ``_sync``.  A node marks the trail's length before its children and pops
+back to the mark after each one returns, which undoes the child's deletion,
+the forced deletions below it and the set updates of all of them.
 
 A child whose deletion spends the whole remaining budget is a leaf, and a
 leaf accepts only if the deletion leaves no violation.  A deletion changes
@@ -94,9 +96,9 @@ class _WorkGraph:
     (weight, {neighbour: edge weight}))``, the dict popped from ``nbr``, or
     ``(edel, e, weight)``.  The search hands that change to its strategy's
     ``update``, which pushes ``(set, added, dropped)`` for each violation
-    set it changes (see ``_sync``).  ``undo_to(mark)`` pops the trail back
-    to length ``mark`` and restores what each entry changed, putting a
-    deleted vertex's saved dict back.  ``touched``, ``gone`` and
+    set it changes, ``added`` and ``dropped`` disjoint.  ``undo_to(mark)``
+    pops the trail back to length ``mark`` and restores what each entry
+    changed, putting a deleted vertex's saved dict back.  ``touched`` and
     ``recounted`` say what a change did."""
 
     __slots__ = ("vw", "nbr", "wd", "trail")
@@ -114,22 +116,10 @@ class _WorkGraph:
         op, ref, saved = change
         return (ref, *saved[1]) if op == VDEL else ref
 
-    def incident(self, touched: Iterable) -> set:
-        """The edges with an endpoint among the present vertices of ``touched``."""
-        nbr = self.nbr
-        # edge_key inlined: this is the innermost loop of the search
-        return {(x, y) if x <= y else (y, x)
-                for x in touched if x in nbr for y in nbr[x]}
-
     def reach(self, op: str, ref):
         """The vertices whose measures deleting ``ref`` can change: the
         closed neighbourhood of a vertex, the ends of an edge."""
         return {ref, *self.nbr[ref]} if op == VDEL else ref
-
-    def gone(self, change: tuple) -> Iterable:
-        """The edges ``change`` deleted."""
-        op, ref, saved = change
-        return [edge_key(ref, y) for y in saved[1]] if op == VDEL else (ref,)
 
     def recounted(self, change: tuple) -> set:
         """The present pairs whose common-neighbour count ``change``
@@ -181,7 +171,7 @@ class _WorkGraph:
                 nbr[u][v] = nbr[v][u] = saved
                 wd[u] += saved
                 wd[v] += saved
-            else:  # a violation set and what _sync added to and dropped from it
+            else:  # a violation set and what an update added to and dropped from it
                 head -= ref
                 head |= saved
 
@@ -202,8 +192,9 @@ class _Strategy:
     ``factor(r, edel)``, the most children a node can have; ``start(g,
     edges)``, which builds the three sets from the new working graph ``g``
     and the input's edge keys ``edges``; ``update(g, change)``, which brings
-    them up to date with a deletion from ``g`` through ``_sync``, on
-    ``g.trail``; and ``children(g, bad)``, the ordered ``(op, ref)``
+    them up to date with a deletion from ``g``, pushing each change to a
+    set onto ``g.trail`` (WEDCE in one pass, WDCE and WERE through
+    ``_sync``); and ``children(g, bad)``, the ordered ``(op, ref)``
     deletions that hit every way to fix ``bad``."""
 
     def __init__(self, cs, kind: str):
@@ -323,7 +314,9 @@ class _Wedce(_Strategy):
     """Five-step branching on the least edge whose edge degree leaves its
     list: delete either endpoint, the edge, or one of the neighbours or
     whole edges around it, chosen so that if none of them goes, what
-    survives pins the edge degree above its target."""
+    survives pins the edge degree above its target.  ``update`` is one pass:
+    it drops the deleted edges from ``bad_pairs``, re-judges every edge at a
+    present end whose weighted degree moved, and pushes one trail entry."""
 
     @staticmethod
     def factor(r: int, edel: bool) -> int:
@@ -336,10 +329,32 @@ class _Wedce(_Strategy):
         self.bad_pairs = {e for e in edges if wd[e[0]] + wd[e[1]] not in delta[e]}
 
     def update(self, g: _WorkGraph, change) -> None:
-        wd, delta = g.wd, self.cs.delta_e
-        near = g.incident(g.touched(change))
-        bad = {e for e in near if wd[e[0]] + wd[e[1]] not in delta[e]}
-        _sync(self.bad_pairs, near.union(g.gone(change)), bad, g.trail)
+        # an edge between two moved ends is judged twice, the second time a
+        # no-op, so added and dropped stay disjoint, as undo_to needs
+        wd, nbr, delta, bad = g.wd, g.nbr, self.cs.delta_e, self.bad_pairs
+        op, ref, saved = change
+        if op == VDEL:
+            ends = saved[1]
+            dropped = bad.intersection([(ref, y) if ref <= y else (y, ref) for y in ends])
+        else:
+            ends = ref
+            dropped = {ref} if ref in bad else set()
+        bad -= dropped
+        added = set()
+        for x in ends:
+            dx = wd[x]
+            for y in nbr[x]:
+                # edge_key inlined: this is the innermost loop of the search
+                e = (x, y) if x <= y else (y, x)
+                if dx + wd[y] in delta[e]:
+                    if e in bad:
+                        bad.remove(e)
+                        dropped.add(e)
+                elif e not in bad:
+                    bad.add(e)
+                    added.add(e)
+        if added or dropped:
+            g.trail.append((bad, added, dropped))
 
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         u, v = bad

@@ -130,9 +130,10 @@ class TestParseInstance:
             parse_instance("ops vdel\nk 0\nr 1\n")
 
     def test_instance_level_failures_still_reported(self):
-        # every line is well-formed, but the assembled instance is illegal
+        # every line is well-formed, but WEDCE refuses the ops line's eadd,
+        # which is checked last and blamed on that line
         text = "problem WEDCE\nops vdel eadd\nk 0\nr 1\nvertex 0\n"
-        with pytest.raises(ParseError, match="ill-defined"):
+        with pytest.raises(ParseError, match="line 2: edge addition is ill-defined"):
             parse_instance(text)
 
     @pytest.mark.parametrize("text,message", [
@@ -608,7 +609,7 @@ PINNED_DIAGNOSTICS = [
     ("default_xi_out_of_bound", _WSRE_FILE + "default xi {0,1,2}\n",
      12, 'line 12: default xi values [0, 1, 2] outside [0..1]'),
     ("instance_level", _WEDCE_FILE.replace("ops vdel edel", "ops vdel eadd"),
-     None, 'edge addition is ill-defined for WEDCE'),
+     2, 'line 2: edge addition is ill-defined for WEDCE'),
     # checks after the line pass run in vertex-id order, not file order
     ("first_error_by_vertex_id",
      _WDCE_FILE + "vertex 9 weight=0 delta={0}\nvertex 3 delta={7}\n",

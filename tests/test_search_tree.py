@@ -791,6 +791,46 @@ def test_recounted_is_exact_on_all_five_vertex_graphs():
     assert checked == 1024 * 5 + 5120
 
 
+def test_wedce_update_is_exact_on_all_five_vertex_graphs():
+    # after each single deletion, the one-pass update leaves bad_pairs as a
+    # scan from scratch finds them, pushes entries whose added and dropped
+    # sets are disjoint (undo_to relies on it), and undo_to(0) brings back
+    # the root set; once with unit weights, once with edge weights 1-3
+    rng = random.Random(23)
+    seen = Counter()
+    for weighted in (False, True):
+        for graph in enumerate_labeled_graphs(5):
+            if weighted:
+                graph = WeightedGraph({v: 1 for v in graph.vertices()},
+                                      {e: rng.randint(1, 3) for e in graph.edges()})
+            # edge degrees reach 24 at weight 3: each list leaves out a third
+            lists = {(u, v): {s for s in range(25) if (s + u * v) % 3}
+                     for u, v in graph.edges()}
+            inst = ProblemInstance(WEDCE, graph, ConstraintSet(r=24, delta_e=lists),
+                                   {VDEL, EDEL}, 2)
+            g = inst.graph
+            work, strategy = _started(inst)
+            root = set(strategy.bad_pairs)
+            seen["violated"] += bool(root)
+            for op, ref in [*((VDEL, v) for v in g.vertices()),
+                            *((EDEL, e) for e in g.edges())]:
+                delete = work.delete_vertex if op == VDEL else work.delete_edge
+                strategy.update(work, delete(ref))
+                after = g.delete_vertex(ref) if op == VDEL else g.delete_edge(*ref)
+                assert strategy.bad_pairs == _full_scan(inst, after)[0]["bad_pairs"], (g, op, ref)
+                for _, added, dropped in work.trail[1:]:
+                    assert not added & dropped, (g, op, ref)
+                    seen["entries"] += 1
+                    seen["both"] += bool(added and dropped)
+                work.undo_to(0)
+                assert strategy.bad_pairs == root, (g, op, ref)
+                seen["deletions"] += 1
+    # 5 vertex deletions on each graph less the 320 isolated vertices a
+    # WEDCE instance drops, and 5,120 edges over all of them, twice
+    assert seen == {"violated": 1692, "deletions": 2 * (4800 + 5120), "entries": 16844,
+                    "both": 7590}
+
+
 @pytest.mark.parametrize("kind", [WDCE, WEDCE, WERE, WSRE])
 def test_solve_leaves_the_input_graph_unchanged(kind):
     # the working graph copies the input's maps, and a solve that answers
