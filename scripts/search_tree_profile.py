@@ -39,7 +39,9 @@ def main():
         (WEDCE, {VDEL, EDEL}, "vdel+edel"),
         (WEDCE, {VDEL}, "vdel"),
         (WERE, {VDEL, EDEL}, "vdel+edel"),
+        (WERE, {VDEL}, "vdel"),
         (WSRE, {VDEL, EDEL}, "vdel+edel"),
+        (WSRE, {VDEL}, "vdel"),
     ]
     print(f"{'kind':<6} {'ops':<10} {'r':>2} {'k':>2} "
           f"{'bound':>7} {'max':>6} {'mean':>8} {'used%':>7} {'us/node':>8}")

@@ -28,14 +28,14 @@ removed onto the graph's one undo trail.  Each strategy builds its
 violation sets in one scan of the new graph, and the engine hands it every
 deletion to update them from, reading its lists straight from the
 constraint maps and pushing what it changed onto the same trail, so a node
-costs what its edits touch rather than the whole graph.  WEDCE's update is
-one pass over the edges at each end whose weighted degree moved, flipping
-an edge only when its verdict changed; WDCE's rechecks the touched
-vertices, and the common-count rule only the pairs whose count or adjacency
-the deletion changed (``_WorkGraph.recounted``), each handing what it found
-to ``_sync``.  A node marks the trail's length before its children and pops
-back to the mark after each one returns, which undoes the child's deletion,
-the forced deletions below it and the set updates of all of them.
+costs what its edits touch rather than the whole graph.  Every update is one
+pass that judges each measure the deletion moved once and flips a set
+member only when its verdict changed: WEDCE the edges at each end whose
+weighted degree moved, WDCE those ends themselves, and the common-count
+rule the pairs whose count or adjacency the deletion changed.  A node marks
+the trail's length before its children and pops back to the mark after
+each one returns, which undoes the child's deletion, the forced deletions
+below it and the set updates of all of them.
 
 A child whose deletion spends the whole remaining budget is a leaf, and a
 leaf accepts only if the deletion leaves no violation.  A deletion changes
@@ -98,8 +98,7 @@ class _WorkGraph:
     ``update``, which pushes ``(set, added, dropped)`` for each violation
     set it changes, ``added`` and ``dropped`` disjoint.  ``undo_to(mark)``
     pops the trail back to length ``mark`` and restores what each entry
-    changed, putting a deleted vertex's saved dict back.  ``touched`` and
-    ``recounted`` say what a change did."""
+    changed, putting a deleted vertex's saved dict back."""
 
     __slots__ = ("vw", "nbr", "wd", "trail")
 
@@ -111,28 +110,10 @@ class _WorkGraph:
         self.wd = {v: sum(ns.values()) for v, ns in nbr.items()}
         self.trail: list = []
 
-    def touched(self, change: tuple) -> Iterable:
-        """The vertices whose weighted degree or presence ``change`` changed."""
-        op, ref, saved = change
-        return (ref, *saved[1]) if op == VDEL else ref
-
     def reach(self, op: str, ref):
         """The vertices whose measures deleting ``ref`` can change: the
         closed neighbourhood of a vertex, the ends of an edge."""
         return {ref, *self.nbr[ref]} if op == VDEL else ref
-
-    def recounted(self, change: tuple) -> set:
-        """The present pairs whose common-neighbour count ``change``
-        changed: every pair within a deleted vertex's neighbourhood, or each
-        end of a deleted edge with the other end's neighbours; and the pair
-        that an edge deletion parts."""
-        op, ref, saved = change
-        if op == VDEL:
-            nbrs = saved[1]
-            return {(a, b) for a in nbrs for b in nbrs if a < b}
-        u, v = ref
-        nbr = self.nbr
-        return {edge_key(x, y) for x, o in ((u, v), (v, u)) for y in nbr[o]} | {ref}
 
     def delete_vertex(self, v) -> tuple:
         nbr, wd = self.nbr, self.wd
@@ -193,8 +174,8 @@ class _Strategy:
     edges)``, which builds the three sets from the new working graph ``g``
     and the input's edge keys ``edges``; ``update(g, change)``, which brings
     them up to date with a deletion from ``g``, pushing each change to a
-    set onto ``g.trail`` (WEDCE in one pass, WDCE and WERE through
-    ``_sync``); and ``children(g, bad)``, the ordered ``(op, ref)``
+    set onto ``g.trail``, at most one entry per set, in one pass over what
+    the deletion moved; and ``children(g, bad)``, the ordered ``(op, ref)``
     deletions that hit every way to fix ``bad``."""
 
     def __init__(self, cs, kind: str):
@@ -220,11 +201,9 @@ class _Strategy:
         return any(a not in reach and b not in reach for a, b in pairs) if pairs else False
 
 
-def _sync(s: set, scope: Iterable, bad: set, trail: list) -> None:
-    """Make ``s`` hold exactly ``bad`` within ``scope``, a superset of
-    ``bad``, and push what was added and dropped onto ``trail``."""
-    dropped = s.intersection(scope) - bad
-    added = bad - s
+def _flip(s: set, added: set, dropped: set, trail: list) -> None:
+    """Add ``added`` to ``s`` and take out ``dropped``, disjoint sets found
+    against ``s`` as it was, and push the change onto ``trail``."""
     if added or dropped:
         s -= dropped
         s |= added
@@ -398,7 +377,11 @@ class _Wdce(_Strategy):
     """A vertex whose weighted degree sits below its whole delta list is
     doomed (degrees cannot grow); else the least degree violator branches on
     deleting itself, or a neighbour or the whole edge to it, over neighbours
-    enough to pin its degree above its target t <= r: 1 + 2(t+1) children."""
+    enough to pin its degree above its target t <= r: 1 + 2(t+1) children.
+    ``update`` is one pass: a deleted vertex leaves both sets, and each
+    present end whose weighted degree moved (the deleted vertex's
+    neighbours, or the deleted edge's two ends) is judged once against its
+    list."""
 
     @staticmethod
     def factor(r: int, edel: bool) -> int:
@@ -412,11 +395,33 @@ class _Wdce(_Strategy):
         self.bad_pairs = set()
 
     def update(self, g: _WorkGraph, change) -> None:
-        delta, wd = self.cs.delta_v, g.wd
-        touched = g.touched(change)
-        here = [(v, delta[v]) for v in touched if v in wd]
-        _sync(self.doomed, touched, {v for v, dv in here if wd[v] < min(dv)}, g.trail)
-        _sync(self.bad_vertices, touched, {v for v, dv in here if wd[v] not in dv}, g.trail)
+        # each end is judged once against the sets as they were, so added
+        # and dropped stay disjoint; doomed vertices are bad ones
+        delta, wd, doomed, bad = self.cs.delta_v, g.wd, self.doomed, self.bad_vertices
+        op, ref, saved = change
+        d_added, d_dropped, added, dropped = set(), set(), set(), set()
+        if op == VDEL:
+            ends = saved[1]
+            if ref in bad:
+                dropped.add(ref)
+                if ref in doomed:
+                    d_dropped.add(ref)
+        else:
+            ends = ref
+        for x in ends:
+            d, allowed = wd[x], delta[x]
+            if x in bad:
+                # degrees only fall, so a vertex back in its list was not doomed
+                if d in allowed:
+                    dropped.add(x)
+                elif x not in doomed and d < min(allowed):
+                    d_added.add(x)
+            elif d not in allowed:
+                added.add(x)
+                if d < min(allowed):
+                    d_added.add(x)
+        _flip(doomed, d_added, d_dropped, g.trail)
+        _flip(bad, added, dropped, g.trail)
 
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         (v,) = bad
@@ -445,7 +450,13 @@ class _Were(_Wdce):
     an edge to one, 3 + 3(t+1) <= 3r+6 children for t <= lambda <= r; a
     non-adjacent pair leaving xi (WSRE) alike, minus the edge, 2 + 3(t+1)
     <= 3r+5 children for t <= mu <= r.  With vdel only, 2 + (t+1) <= r+3
-    either way."""
+    either way.  ``update`` runs WDCE's pass, then re-judges only the pairs
+    whose count or adjacency changed.  A deleted vertex's pairs leave
+    ``bad_pairs``, and the pairs within its neighbourhood are judged: the
+    edges among them on nu, and for WSRE the others on xi.  A deleted edge
+    uv: WERE drops uv and judges (u, y) and (v, y) for each common
+    neighbour y; WSRE judges (u, y) for y in N(v), (v, y) for y in N(u),
+    and uv itself on xi."""
 
     @staticmethod
     def factor(r: int, edel: bool) -> int:
@@ -459,35 +470,65 @@ class _Were(_Wdce):
         if self.reads_xi:
             vs = sorted(nbr)
             edges = ((a, b) for i, a in enumerate(vs) for b in vs[i + 1:])
-        self.bad_pairs = self._off(nbr, edges)
+        # judged against an empty set, every pair off its list is found
+        self.bad_pairs, found = set(), set()
+        self._rejudge(nbr, edges, found, set())
+        self.bad_pairs = found
 
     def update(self, g: _WorkGraph, change) -> None:
         super().update(g, change)
-        near = g.recounted(change)
-        bad = self._off(g.nbr, near)
-        if change[0] == VDEL:
-            near |= {p for p in self.bad_pairs if change[1] in p}
-        _sync(self.bad_pairs, near, bad, g.trail)
+        nbr, bad = g.nbr, self.bad_pairs
+        op, ref, saved = change
+        added, dropped = set(), set()
+        if op == VDEL:
+            # the pairs at the deleted vertex go; each pair within its
+            # neighbourhood lost a common neighbour
+            if bad:
+                dropped = {p for p in bad if ref in p}
+            ns = saved[1]
+            if self.reads_xi:
+                ns = sorted(ns)
+                pairs = [(a, b) for i, a in enumerate(ns) for b in ns[i + 1:]]
+            else:
+                pairs = [(a, b) for a in ns for b in nbr[a] if a < b and b in ns]
+        else:
+            # each end lost the other as a common neighbour of the other's
+            # neighbours; WSRE judges the parted pair on xi, WERE drops it
+            u, v = ref
+            nbr_u, nbr_v = nbr[u], nbr[v]
+            if self.reads_xi:
+                pairs = [(u, y) if u < y else (y, u) for y in nbr_v]
+                pairs += [(v, y) if v < y else (y, v) for y in nbr_u]
+                pairs.append(ref)
+            else:
+                if ref in bad:
+                    dropped.add(ref)
+                pairs = [(x, y) if x < y else (y, x)
+                         for y in nbr_u.keys() & nbr_v.keys() for x in ref]
+        self._rejudge(nbr, pairs, added, dropped)
+        _flip(bad, added, dropped, g.trail)
 
-    def _off(self, nbr: dict, pairs: Iterable) -> set:
-        """The pairs among ``pairs`` whose common-neighbour count in ``nbr``
-        leaves their list: nu on an edge, xi on a non-adjacent pair (WSRE
-        only), each the stored list, else the default."""
-        cs, reads_xi = self.cs, self.reads_xi
+    def _rejudge(self, nbr: dict, pairs: Iterable, added: set, dropped: set) -> None:
+        """Judge each of ``pairs`` by whether its common-neighbour count in
+        ``nbr`` leaves its list: nu on an edge, xi on a non-adjacent pair
+        (only WSRE hands those in), each the stored list, else the default.
+        Record in ``added`` each pair that leaves its list and is not in
+        ``bad_pairs``, in ``dropped`` each that fits and is; the caller
+        flips them.  Each pair is handed in once."""
+        cs, bad = self.cs, self.bad_pairs
         nu, nu_default, xi, xi_default = cs.nu.get, cs.nu_default, cs.xi.get, cs.xi_default
-        out = set()
         for p in pairs:
             a, b = p
             na = nbr[a]
-            if b in na:
-                allowed = nu(p) or nu_default
-            elif reads_xi:
-                allowed = xi(p) or xi_default
-            else:
-                continue
-            if len(na.keys() & nbr[b].keys()) not in allowed:
-                out.add(p)
-        return out
+            allowed = (nu(p) or nu_default) if b in na else (xi(p) or xi_default)
+            fits = len(na.keys() & nbr[b].keys()) in allowed
+            # a tuple hashes anew on each lookup: the root scan, whose set
+            # is empty, skips it
+            if bad and p in bad:
+                if fits:
+                    dropped.add(p)
+            elif not fits:
+                added.add(p)
 
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         if len(bad) == 1:

@@ -7,6 +7,7 @@ import pytest
 from dcedit.graphs import (
     WeightedGraph,
     common_neighbor_count,
+    edge_key,
     random_graph,
     weighted_degree,
 )
@@ -768,34 +769,54 @@ class TestWorkGraphUndo:
         assert undos > 400
 
 
-def test_recounted_is_exact_on_all_five_vertex_graphs():
-    # after each single deletion, recounted names exactly the present pairs
-    # whose common-neighbour count or adjacency changed
-    def view(g):
-        return {(a, b): (b in g.nbr[a], len(g.nbr[a].keys() & g.nbr[b].keys()))
-                for a in g.nbr for b in g.nbr if a < b}
+def _listed_instance(kind, graph):
+    """``graph`` as a ``kind`` instance whose lists each leave out about a
+    third of the values the measure can reach: edge degrees reach 24 at
+    edge weight 3, vertex degrees 12, and common counts 3.  WERE and WSRE
+    store nu on the pairs with an even end (whether or not they are edges)
+    under a narrowed default, and WSRE stores xi on the others, also under
+    a narrowed default; so deleting an edge moves its pair from a stored nu
+    list to the xi default, or from the nu default to a stored xi list."""
+    if kind == WEDCE:
+        lists = {(u, v): {s for s in range(25) if (s + u * v) % 3}
+                 for u, v in graph.edges()}
+        return ProblemInstance(WEDCE, graph, ConstraintSet(r=24, delta_e=lists),
+                               {VDEL, EDEL}, 2)
+    delta = {v: {s for s in range(13) if (s + v) % 3} for v in graph.vertices()}
+    pairs = [(a, b) for a in graph.vertices() for b in graph.vertices() if a < b]
+    counts = {p: {c for c in range(4) if (c + p[0] + p[1]) % 3} for p in pairs}
+    even = {p: vals for p, vals in counts.items() if not p[0] % 2 or not p[1] % 2}
+    lists = {"r": 12, "delta_v": delta}
+    if kind != WDCE:
+        lists.update(lam=3, nu=even, nu_default={0, 1})
+    if kind == WSRE:
+        lists.update(mu=3, xi={p: vals for p, vals in counts.items() if p not in even},
+                     xi_default={0, 2})
+    return ProblemInstance(kind, graph, ConstraintSet(**lists), {VDEL, EDEL}, 2)
 
-    checked = 0
-    for graph in enumerate_labeled_graphs(5):
-        work = search_tree._WorkGraph(graph)
-        before = view(work)
-        for op, ref in [*((VDEL, v) for v in graph.vertices()),
-                        *((EDEL, e) for e in graph.edges())]:
-            change = (work.delete_vertex if op == VDEL else work.delete_edge)(ref)
-            after = view(work)
-            changed = {p for p, seen in after.items() if seen != before[p]}
-            assert work.recounted(change) == changed, (graph.edges(), op, ref)
-            work.undo_to(0)
-            checked += 1
-    # five vertex deletions on each graph, and 5,120 edges over all of them
-    assert checked == 1024 * 5 + 5120
+
+# what the exactness walk below meets, by kind: roots with a violation, with
+# a doomed vertex, with a bad pair; deletions, trail entries, and entries
+# that both add and drop
+UPDATE_WALK = {
+    WDCE: {"violated": 1783, "doomed": 240, "pairs": 0,
+           "deletions": 2 * (5120 + 5120), "entries": 18211, "both": 4750},
+    WEDCE: {"violated": 1692, "doomed": 0, "pairs": 1692,
+            "deletions": 2 * (4800 + 5120), "entries": 16844, "both": 7590},
+    WERE: {"violated": 2003, "doomed": 240, "pairs": 1742,
+           "deletions": 2 * (5120 + 5120), "entries": 31601, "both": 8962},
+    WSRE: {"violated": 2041, "doomed": 240, "pairs": 1988,
+           "deletions": 2 * (5120 + 5120), "entries": 37459, "both": 13502},
+}
 
 
-def test_wedce_update_is_exact_on_all_five_vertex_graphs():
-    # after each single deletion, the one-pass update leaves bad_pairs as a
-    # scan from scratch finds them, pushes entries whose added and dropped
-    # sets are disjoint (undo_to relies on it), and undo_to(0) brings back
-    # the root set; once with unit weights, once with edge weights 1-3
+@pytest.mark.parametrize("kind", [WDCE, WEDCE, WERE, WSRE])
+def test_update_is_exact_on_all_five_vertex_graphs(kind):
+    # after each single deletion, the one-pass update leaves every violation
+    # set as a scan from scratch finds it, pushes at most one entry per set,
+    # each with disjoint added and dropped sets (undo_to relies on it), and
+    # undo_to(0) brings back the root sets; once with unit weights, once
+    # with edge weights 1-3
     rng = random.Random(23)
     seen = Counter()
     for weighted in (False, True):
@@ -803,32 +824,36 @@ def test_wedce_update_is_exact_on_all_five_vertex_graphs():
             if weighted:
                 graph = WeightedGraph({v: 1 for v in graph.vertices()},
                                       {e: rng.randint(1, 3) for e in graph.edges()})
-            # edge degrees reach 24 at weight 3: each list leaves out a third
-            lists = {(u, v): {s for s in range(25) if (s + u * v) % 3}
-                     for u, v in graph.edges()}
-            inst = ProblemInstance(WEDCE, graph, ConstraintSet(r=24, delta_e=lists),
-                                   {VDEL, EDEL}, 2)
+            inst = _listed_instance(kind, graph)
             g = inst.graph
             work, strategy = _started(inst)
-            root = set(strategy.bad_pairs)
-            seen["violated"] += bool(root)
+
+            def sets():
+                return {name: set(val) for name, val in vars(strategy).items()
+                        if isinstance(val, set)}
+
+            root = sets()
+            seen["violated"] += any(root.values())
+            seen["doomed"] += bool(root["doomed"])
+            seen["pairs"] += bool(root["bad_pairs"])
             for op, ref in [*((VDEL, v) for v in g.vertices()),
                             *((EDEL, e) for e in g.edges())]:
                 delete = work.delete_vertex if op == VDEL else work.delete_edge
                 strategy.update(work, delete(ref))
                 after = g.delete_vertex(ref) if op == VDEL else g.delete_edge(*ref)
-                assert strategy.bad_pairs == _full_scan(inst, after)[0]["bad_pairs"], (g, op, ref)
-                for _, added, dropped in work.trail[1:]:
+                assert sets() == _full_scan(inst, after)[0], (g, op, ref)
+                entries = work.trail[1:]
+                assert len({id(s) for s, _, _ in entries}) == len(entries), (g, op, ref)
+                for _, added, dropped in entries:
                     assert not added & dropped, (g, op, ref)
                     seen["entries"] += 1
                     seen["both"] += bool(added and dropped)
                 work.undo_to(0)
-                assert strategy.bad_pairs == root, (g, op, ref)
+                assert sets() == root, (g, op, ref)
                 seen["deletions"] += 1
-    # 5 vertex deletions on each graph less the 320 isolated vertices a
-    # WEDCE instance drops, and 5,120 edges over all of them, twice
-    assert seen == {"violated": 1692, "deletions": 2 * (4800 + 5120), "entries": 16844,
-                    "both": 7590}
+    # 5 vertex deletions on each graph (less the 320 isolated vertices a
+    # WEDCE instance drops), and 5,120 edges over all of them, twice
+    assert seen == UPDATE_WALK[kind]
 
 
 @pytest.mark.parametrize("kind", [WDCE, WEDCE, WERE, WSRE])
@@ -848,3 +873,59 @@ def test_solve_leaves_the_input_graph_unchanged(kind):
                 answers.add(solve(inst).answer)
                 assert maps(inst.graph) == before
     assert answers == {True, False}
+
+
+def _relabelled(inst, rng):
+    """``inst`` with its vertices renamed by a seeded permutation of their
+    ids, every list moved with its vertex or pair."""
+    vs = inst.graph.vertices()
+    to = dict(zip(vs, rng.sample(vs, len(vs))))
+
+    def moved(lists, key):
+        return {key(x): vals for x, vals in lists.items()}
+
+    def pair(p):
+        return edge_key(to[p[0]], to[p[1]])
+
+    g, cs = inst.graph, inst.constraints
+    graph = WeightedGraph(moved(g.vertex_weights(), to.get), moved(g.edge_weights(), pair))
+    cs = cs.replace(delta_v=moved(cs.delta_v, to.get), delta_e=moved(cs.delta_e, pair),
+                    nu=moved(cs.nu, pair), xi=moved(cs.xi, pair))
+    return inst.replace(graph=graph, constraints=cs)
+
+
+class TestMetamorphic:
+    # Relations every tree solve must keep, over the seeded weighted
+    # instances of each kind and deletion ops set at budgets 0-5.  Witness
+    # costs are not compared: the tree returns the first witness it finds,
+    # not the cheapest.
+    SEEDS = range(40)
+    BUDGETS = range(6)
+    OPS = ({VDEL}, {EDEL}, {VDEL, EDEL})
+
+    def _solves(self):
+        for kind in (WDCE, WEDCE, WERE, WSRE):
+            for seed in self.SEEDS:
+                base = weighted_instance(kind, seed)
+                for ops in self.OPS:
+                    insts = [base.replace(ops=ops, k=k) for k in self.BUDGETS]
+                    yield insts, [solve(inst) for inst in insts]
+
+    def test_relations(self):
+        rng = random.Random(24)
+        seen = Counter()
+        for insts, reps in self._solves():
+            for inst, rep in zip(insts, reps):
+                # a relabelled graph has the same answer
+                assert solve(_relabelled(inst, rng)).answer == rep.answer, inst
+                if rep.answer:
+                    # every YES witness fits the budget and satisfies every
+                    # constraint of the edited graph
+                    assert rep.witness.cost <= inst.k, inst
+                    assert check_constraints(inst, apply_edit_script(inst.graph, rep.witness)), inst
+                seen["yes" if rep.answer else "no"] += 1
+            # YES at k stays YES at k+1
+            answers = [rep.answer for rep in reps]
+            assert answers == sorted(answers), (insts[0], answers)
+            seen["turns"] += answers[0] != answers[-1]
+        assert seen == {"yes": 521, "no": 2359, "turns": 186}
