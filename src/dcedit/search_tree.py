@@ -15,8 +15,8 @@ engine deletes the doomed vertices, which every solution deletes, without
 counting a node, then branches on the first violation: the least bad
 vertex, else the least bad pair.  Every branch deletes a vertex or a whole
 edge at its full weight, as a solution does, so the deletions on the undo
-trail at an accepting node are the witness: within budget, not always the
-cheapest.
+trail at an accepting node are the witness, and the budget its path spent
+is the witness's cost: within budget, not always the cheapest.
 Branch sets are chosen greedily so that if no branch element is deleted,
 what survives around the violation pins its value above every reachable
 target: the child count stays within the factor and the search complete.
@@ -27,15 +27,15 @@ updates that map and the weighted degrees in O(deg) and pushes what it
 removed onto the graph's one undo trail.  Each strategy builds its
 violation sets in one scan of the new graph, and the engine hands it every
 deletion to update them from, reading its lists straight from the
-constraint maps and pushing what it changed onto the same trail, so a node
-costs what its edits touch rather than the whole graph.  Every update is one
-pass that judges each measure the deletion moved once and flips a set
-member only when its verdict changed: WEDCE the edges at each end whose
-weighted degree moved, WDCE those ends themselves, and the common-count
-rule the pairs whose count or adjacency the deletion changed.  A node marks
-the trail's length before its children and pops back to the mark after
-each one returns, which undoes the child's deletion, the forced deletions
-below it and the set updates of all of them.
+constraint maps, so a node costs what its edits touch rather than the whole
+graph.  Every update is one pass that judges each measure the deletion
+moved once, against the sets as they were, and records the members whose
+verdict changed through ``_flip``, onto the same trail: WEDCE the edges at
+each end whose weighted degree moved, WDCE those ends themselves, and the
+common-count rule the pairs whose count or adjacency the deletion changed.
+A node marks the trail's length before its children and pops back to the
+mark after each one returns, which undoes the child's deletion, the forced
+deletions below it and the set updates of all of them.
 
 A child whose deletion spends the whole remaining budget is a leaf, and a
 leaf accepts only if the deletion leaves no violation.  A deletion changes
@@ -95,10 +95,10 @@ class _WorkGraph:
     O(deg), pushes its change onto ``trail`` and returns it: ``(vdel, v,
     (weight, {neighbour: edge weight}))``, the dict popped from ``nbr``, or
     ``(edel, e, weight)``.  The search hands that change to its strategy's
-    ``update``, which pushes ``(set, added, dropped)`` for each violation
-    set it changes, ``added`` and ``dropped`` disjoint.  ``undo_to(mark)``
-    pops the trail back to length ``mark`` and restores what each entry
-    changed, putting a deleted vertex's saved dict back."""
+    ``update``, whose ``_flip`` pushes ``(set, added, dropped)`` for each
+    violation set it changes, ``added`` and ``dropped`` disjoint.
+    ``undo_to(mark)`` pops the trail back to length ``mark`` and restores
+    what each entry changed, putting a deleted vertex's saved dict back."""
 
     __slots__ = ("vw", "nbr", "wd", "trail")
 
@@ -163,24 +163,26 @@ class _WorkGraph:
 class _Strategy:
     """The per-kind part of the search, built from a constraint set and the
     kind of the instance searched; one subclass may serve several kinds.
-    Every strategy keeps the violations in three sets: ``doomed``, the
-    vertices whose degree is below their whole list, which every solution
-    deletes; ``bad_vertices``, the vertices whose degree leaves its list,
-    doomed ones included; ``bad_pairs``, WEDCE's edges whose edge degree
-    leaves its list, or the pairs whose common count leaves nu or xi.
-    WEDCE keeps only pairs, WDCE only vertices.  ``violation()`` and
-    ``stranded(reach)`` read the sets for every kind.  Subclasses supply
-    ``factor(r, edel)``, the most children a node can have; ``start(g,
-    edges)``, which builds the three sets from the new working graph ``g``
-    and the input's edge keys ``edges``; ``update(g, change)``, which brings
-    them up to date with a deletion from ``g``, pushing each change to a
-    set onto ``g.trail``, at most one entry per set, in one pass over what
-    the deletion moved; and ``children(g, bad)``, the ordered ``(op, ref)``
+    ``__init__`` creates the three violation sets, empty, and decides
+    ``reads_xi``: does the kind's ``CONSULTED`` row hold xi?  The sets are
+    ``doomed``, the vertices whose degree is below their whole list, which
+    every solution deletes; ``bad_vertices``, the vertices whose degree
+    leaves its list, doomed ones included; ``bad_pairs``, WEDCE's edges
+    whose edge degree leaves its list, or the pairs whose common count
+    leaves nu or xi.  WEDCE fills only pairs, WDCE only vertices.
+    ``violation()`` and ``stranded(reach)`` read the sets for every kind.
+    Subclasses supply ``factor(r, edel)``, the most children a node can
+    have; ``start(g, edges)``, which fills the sets its kind reads from the
+    new working graph ``g`` and the input's edge keys ``edges``;
+    ``update(g, change)``, which brings them up to date with a deletion
+    from ``g`` in one pass over what it moved, recording each set's change
+    through ``_flip``; and ``children(g, bad)``, the ordered ``(op, ref)``
     deletions that hit every way to fix ``bad``."""
 
     def __init__(self, cs, kind: str):
         self.cs = cs
-        self.kind = kind
+        self.doomed, self.bad_vertices, self.bad_pairs = set(), set(), set()
+        self.reads_xi = _XI in CONSULTED[kind]
 
     def violation(self):
         """The first violated constraint: the least bad vertex as ``(v,)``,
@@ -247,9 +249,11 @@ def _search(inst: ProblemInstance, kind: str, cls: type) -> SolveReport:
             update(g, g.delete_vertex(v))
         bad = strategy.violation()
         if bad is None:
-            # the deletions on the trail are this node's path from the root
-            hit = canonical_steps((op, ref) if op == VDEL else (op, *ref)
-                                  for op, ref, _ in g.trail if op in (VDEL, EDEL))
+            # the deletions on the trail are this node's path from the root,
+            # and the budget they spent is their cost
+            steps = ((op, ref) if op == VDEL else (op, *ref)
+                     for op, ref, _ in g.trail if op in (VDEL, EDEL))
+            hit = EditScript(canonical_steps(steps), inst.k - k)
             return True
         if k <= 0:
             return False
@@ -279,11 +283,10 @@ def _search(inst: ProblemInstance, kind: str, cls: type) -> SolveReport:
         except StopIteration as done:
             stack.pop()
             answer = done.value
-    witness = EditScript.build(inst.graph, hit) if answer else None
     depth, size = max(inst.k, 0), inst.graph.n + inst.graph.m
     # the empty graph keeps tr(b, k): see the module docstring
     bound = tr(strategy.factor(inst.constraints.r, allow_e), min(depth, size or depth))
-    return SolveReport(answer, witness, nodes, bound)
+    return SolveReport(answer, hit, nodes, bound)
 
 
 # -- WEDCE ------------------------------------------------------------------
@@ -293,9 +296,10 @@ class _Wedce(_Strategy):
     """Five-step branching on the least edge whose edge degree leaves its
     list: delete either endpoint, the edge, or one of the neighbours or
     whole edges around it, chosen so that if none of them goes, what
-    survives pins the edge degree above its target.  ``update`` is one pass:
-    it drops the deleted edges from ``bad_pairs``, re-judges every edge at a
-    present end whose weighted degree moved, and pushes one trail entry."""
+    survives pins the edge degree above its target.  ``update`` is one
+    pass: it drops the deleted edges from ``bad_pairs``, judges every edge
+    at a present end whose weighted degree moved against the set as it was,
+    and records the change through ``_flip``."""
 
     @staticmethod
     def factor(r: int, edel: bool) -> int:
@@ -303,13 +307,12 @@ class _Wedce(_Strategy):
 
     def start(self, g: _WorkGraph, edges: Iterable) -> None:
         wd, delta = g.wd, self.cs.delta_e
-        self.doomed, self.bad_vertices = set(), set()
         # edges whose edge degree leaves the list
         self.bad_pairs = {e for e in edges if wd[e[0]] + wd[e[1]] not in delta[e]}
 
     def update(self, g: _WorkGraph, change) -> None:
-        # an edge between two moved ends is judged twice, the second time a
-        # no-op, so added and dropped stay disjoint, as undo_to needs
+        # each edge is judged against the set as it was, so added and
+        # dropped stay disjoint; one between two moved ends, twice alike
         wd, nbr, delta, bad = g.wd, g.nbr, self.cs.delta_e, self.bad_pairs
         op, ref, saved = change
         if op == VDEL:
@@ -318,7 +321,6 @@ class _Wedce(_Strategy):
         else:
             ends = ref
             dropped = {ref} if ref in bad else set()
-        bad -= dropped
         added = set()
         for x in ends:
             dx = wd[x]
@@ -327,13 +329,10 @@ class _Wedce(_Strategy):
                 e = (x, y) if x <= y else (y, x)
                 if dx + wd[y] in delta[e]:
                     if e in bad:
-                        bad.remove(e)
                         dropped.add(e)
                 elif e not in bad:
-                    bad.add(e)
                     added.add(e)
-        if added or dropped:
-            g.trail.append((bad, added, dropped))
+        _flip(bad, added, dropped, g.trail)
 
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         u, v = bad
@@ -392,7 +391,6 @@ class _Wdce(_Strategy):
         # degree outside the list; doomed: degree below the whole list
         self.bad_vertices = {v for v, d in wd.items() if d not in delta[v]}
         self.doomed = {v for v in self.bad_vertices if wd[v] < min(delta[v])}
-        self.bad_pairs = set()
 
     def update(self, g: _WorkGraph, change) -> None:
         # each end is judged once against the sets as they were, so added
@@ -450,13 +448,14 @@ class _Were(_Wdce):
     an edge to one, 3 + 3(t+1) <= 3r+6 children for t <= lambda <= r; a
     non-adjacent pair leaving xi (WSRE) alike, minus the edge, 2 + 3(t+1)
     <= 3r+5 children for t <= mu <= r.  With vdel only, 2 + (t+1) <= r+3
-    either way.  ``update`` runs WDCE's pass, then re-judges only the pairs
-    whose count or adjacency changed.  A deleted vertex's pairs leave
-    ``bad_pairs``, and the pairs within its neighbourhood are judged: the
-    edges among them on nu, and for WSRE the others on xi.  A deleted edge
-    uv: WERE drops uv and judges (u, y) and (v, y) for each common
-    neighbour y; WSRE judges (u, y) for y in N(v), (v, y) for y in N(u),
-    and uv itself on xi."""
+    either way.  ``start`` fills WDCE's two sets, then ``bad_pairs`` from
+    the edges, or from every pair under ``reads_xi`` (WSRE).  ``update``
+    runs WDCE's pass, then re-judges only the pairs whose count or
+    adjacency changed.  A deleted vertex's pairs leave ``bad_pairs``, and
+    the pairs within its neighbourhood are judged: the edges among them on
+    nu, and for WSRE the others on xi.  A deleted edge uv: WERE drops uv
+    and judges (u, y) and (v, y) for each common neighbour y; WSRE judges
+    (u, y) for y in N(v), (v, y) for y in N(u), and uv itself on xi."""
 
     @staticmethod
     def factor(r: int, edel: bool) -> int:
@@ -464,16 +463,11 @@ class _Were(_Wdce):
 
     def start(self, g: _WorkGraph, edges: Iterable) -> None:
         super().start(g, edges)
-        # WSRE keeps xi on the non-adjacent pairs, so it scans every pair
-        self.reads_xi = _XI in CONSULTED[self.kind]
         nbr = g.nbr
         if self.reads_xi:
             vs = sorted(nbr)
             edges = ((a, b) for i, a in enumerate(vs) for b in vs[i + 1:])
-        # judged against an empty set, every pair off its list is found
-        self.bad_pairs, found = set(), set()
-        self._rejudge(nbr, edges, found, set())
-        self.bad_pairs = found
+        self._rejudge(nbr, edges, self.bad_pairs, set())
 
     def update(self, g: _WorkGraph, change) -> None:
         super().update(g, change)
@@ -514,17 +508,19 @@ class _Were(_Wdce):
         (only WSRE hands those in), each the stored list, else the default.
         Record in ``added`` each pair that leaves its list and is not in
         ``bad_pairs``, in ``dropped`` each that fits and is; the caller
-        flips them.  Each pair is handed in once."""
+        flips them.  Each pair is handed in once, so the root scan hands in
+        the empty ``bad_pairs`` itself as ``added``."""
         cs, bad = self.cs, self.bad_pairs
         nu, nu_default, xi, xi_default = cs.nu.get, cs.nu_default, cs.xi.get, cs.xi_default
+        # a tuple hashes anew on each lookup: a pass that starts with no
+        # pair tracked, as the root scan does, skips it
+        tracked = bool(bad)
         for p in pairs:
             a, b = p
             na = nbr[a]
             allowed = (nu(p) or nu_default) if b in na else (xi(p) or xi_default)
             fits = len(na.keys() & nbr[b].keys()) in allowed
-            # a tuple hashes anew on each lookup: the root scan, whose set
-            # is empty, skips it
-            if bad and p in bad:
+            if tracked and p in bad:
                 if fits:
                     dropped.add(p)
             elif not fits:

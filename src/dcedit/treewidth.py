@@ -210,16 +210,19 @@ def make_nice(g: WeightedGraph, td: TreeDecomposition) -> NiceDecomposition:
 # -- the DP -----------------------------------------------------------------
 
 
-def _run_dp(g: WeightedGraph, r: int, td: TreeDecomposition, induced: bool) -> bool:
+def _run_dp(g: WeightedGraph, r: int, td: Optional[TreeDecomposition],
+            induced: bool) -> bool:
     if r < 0:
         raise ValueError("r must be non-negative")
-    if not validate_decomposition(g, td):
+    if td is None:
+        td = greedy_decomposition(g)
+    elif not validate_decomposition(g, td):
         raise ValueError("invalid tree decomposition for this graph")
     if r > td.width:
         return False  # width-w graphs are w-degenerate
     nd = make_nice(g, td)
     order = [tuple(sorted(n.bag)) for n in nd.nodes]
-    tables: List[frozenset] = []
+    tables: List[set] = []
     for idx, node in enumerate(nd.nodes):
         if node.kind == LEAF:
             states = {((), False)}
@@ -265,22 +268,20 @@ def _run_dp(g: WeightedGraph, r: int, td: TreeDecomposition, induced: bool) -> b
                     )
                     if all(c is None or c <= r for c in merged):
                         states.add((merged, ne or ne2))
-        tables.append(frozenset(states))
+        tables.append(states)
     return ((), True) in tables[nd.root]
 
 
 def solve_induced_regular(g: WeightedGraph, r: int,
                           td: Optional[TreeDecomposition] = None) -> bool:
     """Nonempty induced subgraph with every degree exactly r?"""
-    return _run_dp(g, r, td if td is not None else greedy_decomposition(g),
-                   induced=True)
+    return _run_dp(g, r, td, induced=True)
 
 
 def solve_regular_subgraph(g: WeightedGraph, r: int,
                            td: Optional[TreeDecomposition] = None) -> bool:
     """Nonempty r-regular subgraph, edge deletions allowed?"""
-    return _run_dp(g, r, td if td is not None else greedy_decomposition(g),
-                   induced=False)
+    return _run_dp(g, r, td, induced=False)
 
 
 def solve_with_addition(g: WeightedGraph, r: int) -> bool:

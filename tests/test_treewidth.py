@@ -105,6 +105,17 @@ class TestGreedy:
             td = greedy_decomposition(g)
             assert validate_decomposition(g, td)
 
+    def test_greedy_validates_on_every_small_graph_and_seeded_sweep(self):
+        # the DP checks only a decomposition a caller hands in, so the one
+        # it builds itself is checked here: every labelled graph on up to
+        # 5 vertices, then 200 seeded graphs on 6-40 vertices
+        rng = random.Random(41)
+        graphs = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
+        graphs += [random_graph(rng.randint(6, 40), rng.random(), seed=rng.randrange(10 ** 6))
+                   for _ in range(200)]
+        for g in graphs:
+            assert validate_decomposition(g, greedy_decomposition(g)), g
+
 
 class TestNice:
     def test_every_edge_claimed_once(self):
