@@ -41,8 +41,7 @@ from .oracle import brute_force_solve
 from .problems import (
     KINDS,
     WDCE,
-    EditScript,
-    apply_edit_script,
+    _apply_steps,
     canonical_steps,
     check_constraints,
     exact_instance,
@@ -159,18 +158,17 @@ def _cmd_verify(args) -> int:
                   "which the instance does not allow")
             return 1
     try:
-        script = EditScript.build(inst.graph, canonical_steps(steps))
+        vw, ew, cost = _apply_steps(inst.graph, canonical_steps(steps))
     except ValueError as exc:
         print(f"INVALID: {exc}")
         return 1
-    if script.cost > inst.k:
-        print(f"INVALID: cost {script.cost} exceeds budget {inst.k}")
+    if cost > inst.k:
+        print(f"INVALID: cost {cost} exceeds budget {inst.k}")
         return 1
-    edited = apply_edit_script(inst.graph, script)
-    if not check_constraints(inst, edited):
+    if not check_constraints(inst, WeightedGraph(vw, ew)):
         print("INVALID: constraints unsatisfied after applying the script")
         return 1
-    print(f"OK cost={script.cost}")
+    print(f"OK cost={cost}")
     return 0
 
 

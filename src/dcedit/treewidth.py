@@ -15,6 +15,18 @@ Callers may hand in their own tree decomposition (validated first) or rely
 on the built-in minimum-degree elimination heuristic.  A width below r is
 an immediate no: width-w graphs are w-degenerate, so every subgraph keeps
 a vertex of degree at most w.
+
+The DP is one post-order walk over the decomposition as given, rooted at its
+least bag id.  A table's states give each bag vertex its degree so far (at
+most r), or None when it is left out, plus whether any vertex is kept.  Each
+child's table is brought to its parent's bag by forgetting the vertices the
+parent lacks (a kept one must have degree exactly r), then introducing the
+new ones one at a time; each graph edge is introduced once, when the later
+of its two ends arrives in a bag that holds the other.  Sibling tables are
+joined by adding degrees, and each child's table is dropped once merged; the
+root's is forgotten down to the empty bag.  These are the steps of a nice
+decomposition (Cygan et al., *Parameterized Algorithms*, 2015, ch. 7),
+applied without building one.
 """
 
 from __future__ import annotations
@@ -114,99 +126,6 @@ def greedy_decomposition(g: WeightedGraph) -> TreeDecomposition:
     return TreeDecomposition(bags, tuple(edges))
 
 
-# -- nice form --------------------------------------------------------------
-
-LEAF = "leaf"
-INTRODUCE = "introduce"
-INTRODUCE_EDGE = "introduce_edge"
-FORGET = "forget"
-JOIN = "join"
-
-
-@dataclass(frozen=True)
-class NiceNode:
-    kind: str
-    bag: FrozenSet
-    children: Tuple[int, ...]
-    vertex: Optional[object] = None
-    edge: Optional[Tuple] = None
-
-
-@dataclass(frozen=True)
-class NiceDecomposition:
-    """Rooted, typed refinement; node ids are topological (children first),
-    the root is the last node and has an empty bag.  Every graph edge is
-    introduced at exactly one introduce-edge node."""
-
-    nodes: Tuple[NiceNode, ...]
-
-    @property
-    def root(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
-    def width(self) -> int:
-        return max(len(n.bag) for n in self.nodes) - 1
-
-
-def make_nice(g: WeightedGraph, td: TreeDecomposition) -> NiceDecomposition:
-    nodes: List[NiceNode] = []
-    claimed: set = set()
-
-    def emit(node: NiceNode) -> int:
-        nodes.append(node)
-        return len(nodes) - 1
-
-    def introduce(below: int, v) -> int:
-        bag = nodes[below].bag | {v}
-        top = emit(NiceNode(INTRODUCE, bag, (below,), vertex=v))
-        for u in sorted(bag - {v}):
-            e = edge_key(u, v)
-            if g.has_edge(*e) and e not in claimed:
-                claimed.add(e)
-                top = emit(NiceNode(INTRODUCE_EDGE, bag, (top,), edge=e))
-        return top
-
-    def raise_to(below: int, target: FrozenSet) -> int:
-        top = below
-        for v in sorted(nodes[top].bag - target):
-            top = emit(NiceNode(FORGET, nodes[top].bag - {v}, (top,), vertex=v))
-        for v in sorted(target - nodes[top].bag):
-            top = introduce(top, v)
-        return top
-
-    root_bag_id = min(td.bags)
-    neigh: Dict[int, List[int]] = {i: [] for i in td.bags}
-    for (i, j) in td.tree:
-        neigh[i].append(j)
-        neigh[j].append(i)
-    # iterative post-order over the rooted bag tree
-    done: Dict[int, int] = {}
-    stack: List[Tuple[int, Optional[int], bool]] = [(root_bag_id, None, False)]
-    while stack:
-        bag_id, parent, expanded = stack.pop()
-        if not expanded:
-            stack.append((bag_id, parent, True))
-            for c in sorted(neigh[bag_id]):
-                if c != parent:
-                    stack.append((c, bag_id, False))
-            continue
-        bag = td.bags[bag_id]
-        kids = [done[c] for c in sorted(neigh[bag_id]) if c != parent]
-        if not kids:
-            top = raise_to(emit(NiceNode(LEAF, frozenset(), ())), bag)
-        else:
-            tops = [raise_to(c, bag) for c in kids]
-            top = tops[0]
-            for nxt in tops[1:]:
-                top = emit(NiceNode(JOIN, bag, (top, nxt)))
-        done[bag_id] = top
-    raise_to(done[root_bag_id], frozenset())
-    if len(claimed) != len(g.edges()):
-        raise AssertionError("nice decomposition failed to claim every edge")
-    return NiceDecomposition(tuple(nodes))
-
-
 # -- the DP -----------------------------------------------------------------
 
 
@@ -220,56 +139,81 @@ def _run_dp(g: WeightedGraph, r: int, td: Optional[TreeDecomposition],
         raise ValueError("invalid tree decomposition for this graph")
     if r > td.width:
         return False  # width-w graphs are w-degenerate
-    nd = make_nice(g, td)
-    order = [tuple(sorted(n.bag)) for n in nd.nodes]
-    tables: List[set] = []
-    for idx, node in enumerate(nd.nodes):
-        if node.kind == LEAF:
-            states = {((), False)}
-        elif node.kind == INTRODUCE:
-            p = bisect_left(order[idx], node.vertex)
-            states = set()
-            for st, ne in tables[node.children[0]]:
-                states.add((st[:p] + (None,) + st[p:], ne))
-                states.add((st[:p] + (0,) + st[p:], True))
-        elif node.kind == INTRODUCE_EDGE:
-            u, v = node.edge
-            pu = bisect_left(order[idx], u)
-            pv = bisect_left(order[idx], v)
-            states = set()
-            for st, ne in tables[node.children[0]]:
-                if st[pu] is None or st[pv] is None:
-                    states.add((st, ne))
-                    continue
-                if not induced:
-                    states.add((st, ne))  # leave the edge out
-                if st[pu] < r and st[pv] < r:
-                    lifted = list(st)
-                    lifted[pu] += 1
-                    lifted[pv] += 1
-                    states.add((tuple(lifted), ne))
-        elif node.kind == FORGET:
-            child = node.children[0]
-            p = bisect_left(order[child], node.vertex)
-            states = set()
-            for st, ne in tables[child]:
-                if st[p] is None or st[p] == r:
-                    states.add((st[:p] + st[p + 1:], ne))
-        else:  # JOIN
-            left, right = node.children
-            by_pattern: Dict[Tuple, List] = {}
-            for st, ne in tables[right]:
-                by_pattern.setdefault(tuple(s is not None for s in st), []).append((st, ne))
-            states = set()
-            for st, ne in tables[left]:
-                for st2, ne2 in by_pattern.get(tuple(s is not None for s in st), ()):
-                    merged = tuple(
-                        None if a is None else a + b for a, b in zip(st, st2)
-                    )
-                    if all(c is None or c <= r for c in merged):
-                        states.add((merged, ne or ne2))
-        tables.append(states)
-    return ((), True) in tables[nd.root]
+    claimed: set = set()
+
+    def lift(order: Tuple, states: set, bag: FrozenSet) -> Tuple[Tuple, set]:
+        """Bring a table on the sorted bag ``order`` to ``bag``: forget the
+        vertices it leaves, then introduce the new ones with their edges."""
+        keep = [p for p, v in enumerate(order) if v in bag]
+        drop = [p for p, v in enumerate(order) if v not in bag]
+        if drop:  # a forgotten vertex ends with degree r or outside the subgraph
+            states = {(tuple(st[p] for p in keep), ne) for st, ne in states
+                      if all(st[p] is None or st[p] == r for p in drop)}
+            order = tuple(order[p] for p in keep)
+        for v in sorted(bag.difference(order)):
+            p = bisect_left(order, v)
+            order = order[:p] + (v,) + order[p:]
+            states = {(st[:p] + (d,) + st[p:], ne or d == 0)
+                      for st, ne in states for d in (None, 0)}
+            for pu, u in enumerate(order):
+                e = edge_key(u, v)
+                if u != v and e not in claimed and g.has_edge(u, v):
+                    claimed.add(e)  # each edge once, when its later end arrives
+                    states = edge(states, pu, p)
+        return order, states
+
+    def edge(states: set, pu: int, pv: int) -> set:
+        out = set()
+        for st, ne in states:
+            if st[pu] is None or st[pv] is None:
+                out.add((st, ne))
+                continue
+            if not induced:
+                out.add((st, ne))  # leave the edge out
+            if st[pu] < r and st[pv] < r:
+                lifted = list(st)
+                lifted[pu] += 1
+                lifted[pv] += 1
+                out.add((tuple(lifted), ne))
+        return out
+
+    def join(left: set, right: set) -> set:
+        by_pattern: Dict[Tuple, List] = {}
+        for st, ne in right:
+            by_pattern.setdefault(tuple(s is not None for s in st), []).append((st, ne))
+        out = set()
+        for st, ne in left:
+            for st2, ne2 in by_pattern.get(tuple(s is not None for s in st), ()):
+                merged = tuple(None if a is None else a + b for a, b in zip(st, st2))
+                if all(c is None or c <= r for c in merged):
+                    out.add((merged, ne or ne2))
+        return out
+
+    root = min(td.bags)
+    neigh: Dict[int, List[int]] = {i: [] for i in td.bags}
+    for (i, j) in td.tree:
+        neigh[i].append(j)
+        neigh[j].append(i)
+    # iterative post-order over the bag tree; a bag's table replaces its
+    # children's, which are dropped as they are merged
+    done: Dict[int, Tuple[Tuple, set]] = {}
+    stack: List[Tuple[int, Optional[int], bool]] = [(root, None, False)]
+    while stack:
+        bag_id, parent, expanded = stack.pop()
+        kids = [c for c in sorted(neigh[bag_id]) if c != parent]
+        if not expanded:
+            stack.append((bag_id, parent, True))
+            stack.extend((c, bag_id, False) for c in kids)
+            continue
+        bag = td.bags[bag_id]
+        order, states = lift(*(done.pop(kids[0]) if kids else ((), {((), False)})), bag)
+        for c in kids[1:]:
+            states = join(states, lift(*done.pop(c), bag)[1])
+        done[bag_id] = order, states
+    _, states = lift(*done.pop(root), frozenset())
+    if len(claimed) != len(g.edges()):
+        raise AssertionError("the walk failed to introduce every edge")
+    return ((), True) in states
 
 
 def solve_induced_regular(g: WeightedGraph, r: int,

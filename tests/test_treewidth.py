@@ -9,14 +9,8 @@ from dcedit.oracle import (
     regular_subgraph_bruteforce,
 )
 from dcedit.treewidth import (
-    FORGET,
-    INTRODUCE,
-    INTRODUCE_EDGE,
-    JOIN,
-    LEAF,
     TreeDecomposition,
     greedy_decomposition,
-    make_nice,
     solve_induced_regular,
     solve_regular_subgraph,
     solve_with_addition,
@@ -117,38 +111,40 @@ class TestGreedy:
             assert validate_decomposition(g, greedy_decomposition(g)), g
 
 
-class TestNice:
-    def test_every_edge_claimed_once(self):
-        rng = random.Random(17)
-        for _ in range(20):
-            g = random_graph(rng.randint(1, 8), 0.5,
-                             seed=rng.randrange(10 ** 6))
-            nd = make_nice(g, greedy_decomposition(g))
-            claimed = [n.edge for n in nd.nodes if n.kind == INTRODUCE_EDGE]
-            assert sorted(claimed) == sorted(g.edges())
+class TestShapes:
+    @staticmethod
+    def reshaped(g, rng):
+        """The greedy decomposition with each tree edge subdivided by its two
+        bags' intersection, a copy of every bag hung below it (a join at each
+        bag), and the ids shuffled, so that another bag is the root."""
+        td = greedy_decomposition(g)
+        bags = list(td.bags.values())
+        ids = {i: n for n, i in enumerate(td.bags)}
+        tree = []
+        for (i, j) in td.tree:
+            bags.append(td.bags[i] & td.bags[j])
+            tree += [(ids[i], len(bags) - 1), (len(bags) - 1, ids[j])]
+        for n in range(len(bags)):
+            bags.append(bags[n])
+            tree.append((n, len(bags) - 1))
+        label = list(range(len(bags)))
+        rng.shuffle(label)
+        return TreeDecomposition({label[n]: b for n, b in enumerate(bags)},
+                                 tuple((label[a], label[b]) for (a, b) in tree))
 
-    def test_structure_of_node_kinds(self):
-        g = complete(3)
-        nd = make_nice(g, greedy_decomposition(g))
-        for i, node in enumerate(nd.nodes):
-            assert all(c < i for c in node.children)  # bottom-up ids
-            if node.kind == LEAF:
-                assert node.bag == frozenset() and node.children == ()
-            elif node.kind == INTRODUCE:
-                (c,) = node.children
-                assert node.bag == nd.nodes[c].bag | {node.vertex}
-            elif node.kind == INTRODUCE_EDGE:
-                (c,) = node.children
-                assert node.bag == nd.nodes[c].bag
-                assert set(node.edge) <= node.bag
-            elif node.kind == FORGET:
-                (c,) = node.children
-                assert node.bag == nd.nodes[c].bag - {node.vertex}
-            else:
-                assert node.kind == JOIN
-                a, b = node.children
-                assert nd.nodes[a].bag == nd.nodes[b].bag == node.bag
-        assert nd.nodes[nd.root].bag == frozenset()
+    @pytest.mark.parametrize("solver, brute", [
+        (solve_induced_regular, induced_regular_bruteforce),
+        (solve_regular_subgraph, regular_subgraph_bruteforce),
+    ], ids=["induced", "subgraph"])
+    def test_answers_do_not_depend_on_the_decomposition(self, solver, brute):
+        rng = random.Random(23)
+        for _ in range(60):
+            g = random_graph(rng.randint(1, 7), rng.random(),
+                             seed=rng.randrange(10 ** 6))
+            td = self.reshaped(g, rng)
+            assert validate_decomposition(g, td)
+            for r in range(4):
+                assert solver(g, r, td) == brute(g, r), (g, r)
 
 
 class TestInducedRegular:
