@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Tuple
 
+from .graphs import WeightedGraph
 from .problems import (
     CONSULTED,
     EDEL,
@@ -150,25 +151,31 @@ def find_clean_regions(inst: ProblemInstance) -> List[CleanRegion]:
     return regions
 
 
-def _rewrite(inst: ProblemInstance, graph, rule: str, affected, k_delta=0,
-             near=frozenset()):
-    """``inst`` moved onto ``graph`` with budget k + k_delta, and its step.
+def _rewrite(inst: ProblemInstance, rule: str, affected, gone=frozenset(),
+             vertices=None, edges=None, k_delta=0, near=frozenset()):
+    """``inst`` with budget k + k_delta on its graph less the vertices
+    ``gone``, with the weights in the maps ``vertices`` and ``edges``
+    (``edge_key`` pairs) added or set, built in one pass; and its step.
 
-    Stored constraint entries that mention deleted vertices are dropped, and
-    every list with an end in the vertex set ``near`` is pinned to its
-    measure on ``graph`` (``pinned_lists``).  Clique completion can push
-    those measures past the original bounds, so r / lambda / mu widen to
-    cover the pins.  Widening is sound on *-variant instances: every
-    consulted list is an explicit singleton (or a singleton default), so
-    the wider full-range fallbacks are never consulted.
+    Stored constraint entries that mention a vertex not in the new graph are
+    dropped, and every list with an end in the vertex set ``near`` is pinned
+    to its measure on the new graph (``pinned_lists``).  Clique completion
+    can push those measures past the original bounds, so r / lambda / mu
+    widen to cover the pins.  Widening is sound on *-variant instances:
+    every consulted list is an explicit singleton (or a singleton default),
+    so the wider full-range fallbacks are never consulted.
     """
-    cs = inst.constraints
-    alive = set(graph.vertices())
+    g, cs = inst.graph, inst.constraints
+    vw = {v: w for v, w in g.vertex_weights().items() if v not in gone}
+    vw.update(vertices or {})
+    ew = {e: w for e, w in g.edge_weights().items() if e[0] not in gone and e[1] not in gone}
+    ew.update(edges or {})
+    graph = WeightedGraph(vw, ew)
     maps = {}
     for f in FAMILIES:
         lists = getattr(cs, f.store).items()
-        maps[f.store] = ({v: s for v, s in lists if v in alive} if f.on_vertices else
-                         {p: s for p, s in lists if p[0] in alive and p[1] in alive})
+        maps[f.store] = ({v: s for v, s in lists if v in vw} if f.on_vertices else
+                         {p: s for p, s in lists if p[0] in vw and p[1] in vw})
     pins = pinned_lists(inst.kind, graph, near) if near else {}
     bounds = {"r": cs.r, "lam": cs.lam, "mu": cs.mu}
     for f in CONSULTED[inst.kind]:
@@ -217,7 +224,7 @@ def _high_degree(inst: ProblemInstance):
     for v, d in zip(m.verts, m.wdeg):
         if d > inst.k + inst.constraints.r and not _rescuable(inst, v, d):
             cost = g.vertex_weight(v)
-            return _rewrite(inst, g.delete_vertex(v), "rr1", (v,), -cost)
+            return _rewrite(inst, "rr1", (v,), {v}, k_delta=-cost)
     return None
 
 
@@ -228,8 +235,7 @@ def _drop_isolated(inst: ProblemInstance, region: CleanRegion, rule: str):
     """Rule 2: remove one whole clean region with no external neighbours."""
     if region.boundary:
         return None
-    keep = set(inst.graph.vertices()) - region.vertices
-    return _rewrite(inst, inst.graph.subgraph(keep), rule, sorted(region.vertices))
+    return _rewrite(inst, rule, sorted(region.vertices), region.vertices)
 
 
 def _cut_deep_layers(inst: ProblemInstance, region: CleanRegion, rule: str):
@@ -241,9 +247,7 @@ def _cut_deep_layers(inst: ProblemInstance, region: CleanRegion, rule: str):
     doomed = set()
     for layer in region.layers[k + 1:]:
         doomed |= layer
-    keep = set(inst.graph.vertices()) - doomed
-    return _rewrite(inst, inst.graph.subgraph(keep), rule, sorted(doomed),
-                    near=region.layer(k + 1))
+    return _rewrite(inst, rule, sorted(doomed), doomed, near=region.layer(k + 1))
 
 
 def _contract(inst: ProblemInstance, region: CleanRegion, rule: str):
@@ -260,18 +264,12 @@ def _contract(inst: ProblemInstance, region: CleanRegion, rule: str):
     comp = region.vertices
     fresh = max(g.vertices()) + 1
     u_new, v_new = fresh, fresh + 1
-    internal = sum(
-        g.edge_weight(*e) for e in g.edges() if e[0] in comp and e[1] in comp
-    )
-    keep = set(g.vertices()) - comp
-    new_g = g.subgraph(keep)
-    new_g = new_g.add_vertex(u_new).add_vertex(v_new)
-    new_g = new_g.add_edge(u_new, v_new, min(inst.k + 1, internal))
+    internal = sum(w for (a, b), w in g.edge_weights().items() if a in comp and b in comp)
+    edges = {(u_new, v_new): min(inst.k + 1, internal)}
     for b in sorted(region.boundary):
-        w = sum(g.edge_weight(b, c) for c in g.neighbors(b) & comp)
-        new_g = new_g.add_edge(b, u_new, w)
-    return _rewrite(inst, new_g, rule, sorted(comp) + [u_new, v_new],
-                    near={u_new})
+        edges[b, u_new] = sum(g.edge_weight(b, c) for c in g.neighbors(b) & comp)
+    return _rewrite(inst, rule, sorted(comp) + [u_new, v_new], comp,
+                    dict.fromkeys((u_new, v_new), 1), edges, near={u_new})
 
 
 def _already_contracted(inst: ProblemInstance, region: CleanRegion) -> bool:
@@ -303,19 +301,16 @@ def _shrink_region(inst: ProblemInstance, region: CleanRegion, rule: str,
     for layer in region.layers[:depth]:
         kept |= layer
     deep = region.vertices - kept
-    new_g = g.subgraph(set(g.vertices()) - deep)
     kept_sorted = sorted(kept)
-    for i, a in enumerate(kept_sorted):
-        for b in kept_sorted[i + 1:]:
-            if not new_g.has_edge(a, b):
-                new_g = new_g.add_edge(a, b, 1)
+    ew = g.edge_weights()
+    edges = {(a, b): 1 for i, a in enumerate(kept_sorted) for b in kept_sorted[i + 1:]
+             if (a, b) not in ew}
+    vertices = {}
     if deep:
         carrier = kept_sorted[0]
         absorbed = sum(g.vertex_weight(x) for x in deep)
-        new_g = new_g.set_vertex_weight(
-            carrier, min(inst.k + 1, g.vertex_weight(carrier) + absorbed)
-        )
-    got = _rewrite(inst, new_g, rule, sorted(region.vertices), near=kept)
+        vertices[carrier] = min(inst.k + 1, g.vertex_weight(carrier) + absorbed)
+    got = _rewrite(inst, rule, sorted(region.vertices), deep, vertices, edges, near=kept)
     return None if got[0] == inst else got
 
 

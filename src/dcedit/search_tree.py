@@ -7,16 +7,17 @@ rejects when the budget is exhausted and a violation remains, and otherwise
 branches on a small hitting set of every possible repair.  A strategy,
 handed its kind, keeps the current violations in the three sets of
 ``_Strategy``, lists the ordered repairs of one violation, and gives the
-branching factor bounding that list, with both ops / with vdel only: WDCE
-2r+3 / r+2 on vertex degrees; WEDCE 2r+5 / r+3 on edge degrees; WERE and
-WSRE 3r+6 / r+3, adding one common-count rule: nu on edges, and for WSRE xi
-on non-adjacent pairs (beyond the paper), read off ``CONSULTED``.  The
-engine deletes the doomed vertices, which every solution deletes, without
-counting a node, then branches on the first violation: the least bad
-vertex, else the least bad pair.  Every branch deletes a vertex or a whole
-edge at its full weight, as a solution does, so the deletions on the undo
-trail at an accepting node are the witness, and the budget its path spent
-is the witness's cost: within budget, not always the cheapest.
+branching factor bounding that list, with both ops / with vdel only: WEDCE
+2r+5 / r+3 on edge degrees.  One strategy serves the three degree kinds,
+reading nu and xi off ``CONSULTED``: WDCE 2r+3 / r+2 on vertex degrees;
+WERE and WSRE 3r+6 / r+3, adding one common-count rule: nu on edges, and
+for WSRE xi on non-adjacent pairs (beyond the paper).  The engine deletes
+the doomed vertices, which every solution deletes, without counting a node,
+then branches on the first violation: the least bad vertex, else the least
+bad pair.  Every branch deletes a vertex or a whole edge at its full weight,
+as a solution does, so the deletions on the undo trail at an accepting node
+are the witness, and the budget its path spent is the witness's cost:
+within budget, not always the cheapest.
 Branch sets are chosen greedily so that if no branch element is deleted,
 what survives around the violation pins its value above every reachable
 target: the child count stays within the factor and the search complete.
@@ -66,6 +67,7 @@ from .problems import (
     EditScript,
     ProblemInstance,
     SolveReport,
+    _NU,
     _XI,
     canonical_steps,
 )
@@ -162,14 +164,15 @@ class _WorkGraph:
 
 class _Strategy:
     """The per-kind part of the search, built from a constraint set and the
-    kind of the instance searched; one subclass may serve several kinds.
-    ``__init__`` creates the three violation sets, empty, and decides
-    ``reads_xi``: does the kind's ``CONSULTED`` row hold xi?  The sets are
-    ``doomed``, the vertices whose degree is below their whole list, which
-    every solution deletes; ``bad_vertices``, the vertices whose degree
-    leaves its list, doomed ones included; ``bad_pairs``, WEDCE's edges
-    whose edge degree leaves its list, or the pairs whose common count
-    leaves nu or xi.  WEDCE fills only pairs, WDCE only vertices.
+    kind of the instance searched: ``_Wedce`` serves WEDCE, ``_Degrees``
+    WDCE, WERE and WSRE.  ``__init__`` creates the three violation sets,
+    empty, and decides ``reads_nu`` and ``reads_xi``: does the kind's
+    ``CONSULTED`` row hold nu, and xi?  The sets are ``doomed``, the
+    vertices whose degree is below their whole list, which every solution
+    deletes; ``bad_vertices``, the vertices whose degree leaves its list,
+    doomed ones included; ``bad_pairs``, WEDCE's edges whose edge degree
+    leaves its list, or the pairs whose common count leaves nu or xi.
+    WEDCE fills only pairs, WDCE (no nu) only vertices.
     ``violation()`` and ``stranded(reach)`` read the sets for every kind.
     Subclasses supply ``factor(r, edel)``, the most children a node can
     have; ``start(g, edges)``, which fills the sets its kind reads from the
@@ -182,7 +185,8 @@ class _Strategy:
     def __init__(self, cs, kind: str):
         self.cs = cs
         self.doomed, self.bad_vertices, self.bad_pairs = set(), set(), set()
-        self.reads_xi = _XI in CONSULTED[kind]
+        consulted = CONSULTED[kind]
+        self.reads_nu, self.reads_xi = _NU in consulted, _XI in consulted
 
     def violation(self):
         """The first violated constraint: the least bad vertex as ``(v,)``,
@@ -372,30 +376,49 @@ def solve_wedce_bst(inst: ProblemInstance) -> SolveReport:
 # -- WDCE, WERE and WSRE -----------------------------------------------------
 
 
-class _Wdce(_Strategy):
-    """A vertex whose weighted degree sits below its whole delta list is
-    doomed (degrees cannot grow); else the least degree violator branches on
-    deleting itself, or a neighbour or the whole edge to it, over neighbours
-    enough to pin its degree above its target t <= r: 1 + 2(t+1) children.
-    ``update`` is one pass: a deleted vertex leaves both sets, and each
-    present end whose weighted degree moved (the deleted vertex's
-    neighbours, or the deleted edge's two ends) is judged once against its
-    list."""
+class _Degrees(_Strategy):
+    """One strategy for WDCE, WERE and WSRE: the degree rule, plus the
+    common-count rule under ``reads_nu``.  A vertex whose weighted degree
+    sits below its whole delta list is doomed (degrees cannot grow); else
+    the least degree violator branches on deleting itself, or a neighbour or
+    the whole edge to it, over neighbours enough to pin its degree above its
+    target t <= r: 1 + 2(t+1) <= 2r+3 children, 1 + (t+1) <= r+2 with vdel
+    only.  With no degree violation left, the least pair in ``bad_pairs``
+    branches: an edge whose common count leaves nu on deleting either end,
+    the edge, or one of t+1 common neighbours or an edge to one, 3 + 3(t+1)
+    <= 3r+6 children for t <= lambda <= r; a non-adjacent pair leaving xi
+    (WSRE) alike, minus the edge, 2 + 3(t+1) <= 3r+5 children for t <= mu
+    <= r.  With vdel only, 2 + (t+1) <= r+3 either way.  ``start`` fills
+    ``doomed`` and ``bad_vertices``, then under ``reads_nu`` ``bad_pairs``
+    from the edges, or from every pair under ``reads_xi``.  ``update`` is
+    one pass: a deleted vertex leaves every set, and each present end whose
+    weighted degree moved is judged once against its list.  Under
+    ``reads_nu`` it then re-judges only the pairs whose count or adjacency
+    changed.  A deleted vertex's neighbourhood: the edges among it on nu,
+    for WSRE the other pairs on xi.  A deleted edge uv: WERE drops uv and
+    judges (u, y) and (v, y) for each common neighbour y; WSRE judges (u, y)
+    for y in N(v), (v, y) for y in N(u), and uv itself on xi."""
 
-    @staticmethod
-    def factor(r: int, edel: bool) -> int:
+    def factor(self, r: int, edel: bool) -> int:
+        if self.reads_nu:
+            return 3 * r + 6 if edel else r + 3
         return 2 * r + 3 if edel else r + 2
 
     def start(self, g: _WorkGraph, edges: Iterable) -> None:
-        delta, wd = self.cs.delta_v, g.wd
+        delta, wd, nbr = self.cs.delta_v, g.wd, g.nbr
         # degree outside the list; doomed: degree below the whole list
         self.bad_vertices = {v for v, d in wd.items() if d not in delta[v]}
         self.doomed = {v for v in self.bad_vertices if wd[v] < min(delta[v])}
+        if self.reads_nu:
+            if self.reads_xi:
+                vs = sorted(nbr)
+                edges = ((a, b) for i, a in enumerate(vs) for b in vs[i + 1:])
+            self._rejudge(nbr, edges, self.bad_pairs, set())
 
     def update(self, g: _WorkGraph, change) -> None:
-        # each end is judged once against the sets as they were, so added
-        # and dropped stay disjoint; doomed vertices are bad ones
-        delta, wd, doomed, bad = self.cs.delta_v, g.wd, self.doomed, self.bad_vertices
+        # each end, then each pair, is judged once against the sets as they
+        # were, so added and dropped stay disjoint; doomed vertices are bad ones
+        delta, wd, nbr, doomed, bad = self.cs.delta_v, g.wd, g.nbr, self.doomed, self.bad_vertices
         op, ref, saved = change
         d_added, d_dropped, added, dropped = set(), set(), set(), set()
         if op == VDEL:
@@ -420,71 +443,19 @@ class _Wdce(_Strategy):
                     d_added.add(x)
         _flip(doomed, d_added, d_dropped, g.trail)
         _flip(bad, added, dropped, g.trail)
-
-    def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
-        (v,) = bad
-        t = _max_allowed_at_most(self.cs.delta_v[v], g.wd[v])
-        # t exists: degrees below the whole list were deleted as doomed
-        out: List[Tuple[str, object]] = [(VDEL, v)]
-        guarantee = 0
-        nbr_v = g.nbr[v]
-        for x in sorted(nbr_v):
-            if guarantee >= t + 1:
-                break
-            out += [(VDEL, x), (EDEL, edge_key(v, x))]
-            guarantee += nbr_v[x]
-        return out
-
-
-def solve_wdce_bst(inst: ProblemInstance) -> SolveReport:
-    """Degree branching for WDCE with ops within {vdel, edel}."""
-    return _search(inst, WDCE, _Wdce)
-
-
-class _Were(_Wdce):
-    """WDCE's rules, for WERE and WSRE; with no degree violation left, the
-    least pair in ``bad_pairs`` branches: an edge whose common count leaves
-    nu on deleting either end, the edge, or one of t+1 common neighbours or
-    an edge to one, 3 + 3(t+1) <= 3r+6 children for t <= lambda <= r; a
-    non-adjacent pair leaving xi (WSRE) alike, minus the edge, 2 + 3(t+1)
-    <= 3r+5 children for t <= mu <= r.  With vdel only, 2 + (t+1) <= r+3
-    either way.  ``start`` fills WDCE's two sets, then ``bad_pairs`` from
-    the edges, or from every pair under ``reads_xi`` (WSRE).  ``update``
-    runs WDCE's pass, then re-judges only the pairs whose count or
-    adjacency changed.  A deleted vertex's pairs leave ``bad_pairs``, and
-    the pairs within its neighbourhood are judged: the edges among them on
-    nu, and for WSRE the others on xi.  A deleted edge uv: WERE drops uv
-    and judges (u, y) and (v, y) for each common neighbour y; WSRE judges
-    (u, y) for y in N(v), (v, y) for y in N(u), and uv itself on xi."""
-
-    @staticmethod
-    def factor(r: int, edel: bool) -> int:
-        return 3 * r + 6 if edel else r + 3
-
-    def start(self, g: _WorkGraph, edges: Iterable) -> None:
-        super().start(g, edges)
-        nbr = g.nbr
-        if self.reads_xi:
-            vs = sorted(nbr)
-            edges = ((a, b) for i, a in enumerate(vs) for b in vs[i + 1:])
-        self._rejudge(nbr, edges, self.bad_pairs, set())
-
-    def update(self, g: _WorkGraph, change) -> None:
-        super().update(g, change)
-        nbr, bad = g.nbr, self.bad_pairs
-        op, ref, saved = change
-        added, dropped = set(), set()
+        if not self.reads_nu:
+            return
+        bad, added, dropped = self.bad_pairs, set(), set()
         if op == VDEL:
             # the pairs at the deleted vertex go; each pair within its
             # neighbourhood lost a common neighbour
             if bad:
                 dropped = {p for p in bad if ref in p}
-            ns = saved[1]
             if self.reads_xi:
-                ns = sorted(ns)
+                ns = sorted(ends)
                 pairs = [(a, b) for i, a in enumerate(ns) for b in ns[i + 1:]]
             else:
-                pairs = [(a, b) for a in ns for b in nbr[a] if a < b and b in ns]
+                pairs = [(a, b) for a in ends for b in nbr[a] if a < b and b in ends]
         else:
             # each end lost the other as a common neighbour of the other's
             # neighbours; WSRE judges the parted pair on xi, WERE drops it
@@ -528,10 +499,21 @@ class _Were(_Wdce):
 
     def children(self, g: _WorkGraph, bad) -> List[Tuple[str, object]]:
         if len(bad) == 1:
-            return super().children(g, bad)
+            (v,) = bad
+            t = _max_allowed_at_most(self.cs.delta_v[v], g.wd[v])
+            # t exists: degrees below the whole list were deleted as doomed
+            out: List[Tuple[str, object]] = [(VDEL, v)]
+            guarantee = 0
+            nbr_v = g.nbr[v]
+            for x in sorted(nbr_v):
+                if guarantee >= t + 1:
+                    break
+                out += [(VDEL, x), (EDEL, edge_key(v, x))]
+                guarantee += nbr_v[x]
+            return out
         a, b = bad
         cs = self.cs
-        out: List[Tuple[str, object]] = [(VDEL, a), (VDEL, b)]
+        out = [(VDEL, a), (VDEL, b)]
         if b in g.nbr[a]:
             out.append((EDEL, bad))
             allowed = cs.nu.get(bad) or cs.nu_default
@@ -547,14 +529,19 @@ class _Were(_Wdce):
         return out
 
 
+def solve_wdce_bst(inst: ProblemInstance) -> SolveReport:
+    """Degree branching for WDCE with ops within {vdel, edel}."""
+    return _search(inst, WDCE, _Degrees)
+
+
 def solve_were_bst(inst: ProblemInstance) -> SolveReport:
     """Branching solver for WERE with ops within {vdel, edel}."""
-    return _search(inst, WERE, _Were)
+    return _search(inst, WERE, _Degrees)
 
 
 def solve_wsre(inst: ProblemInstance) -> SolveReport:
     """Branching solver for WSRE with ops within {vdel, edel}."""
-    return _search(inst, WSRE, _Were)
+    return _search(inst, WSRE, _Degrees)
 
 
 # -- dispatch ---------------------------------------------------------------

@@ -75,6 +75,17 @@ class TestSolve:
         assert "tree_bound=" in captured.err
         assert "nodes_visited" not in captured.out
 
+    @pytest.mark.parametrize("holds", [False, True], ids=["violated", "holding"])
+    def test_negative_budget_is_one_node(self, tmp_path, capsys, holds):
+        # a negative budget rejects at the root, even an instance that holds
+        text = K13.replace("k 1", "k -1")
+        if holds:
+            text = text.replace("r 3", "r 4").replace("delta={3}", "delta={4}")
+        p = tmp_path / "negative.wedce"
+        p.write_text(text)
+        assert run_cli(["solve", str(p), "--stats"]) == 1
+        assert capsys.readouterr() == ("NO\n", "nodes_visited=1\ntree_bound=1\n")
+
     def test_large_budget_bound(self, tmp_path, capsys):
         # no search is deeper than the n + m = 3 elements it can delete, so
         # the ceiling is tr(5, 3), not tr(5, 10**8), which took minutes
@@ -212,6 +223,10 @@ class TestGen:
         assert run_cli(["gen", "gnp", "5"]) == 2
         capsys.readouterr()
 
+    def test_petersen_takes_no_parameters(self, capsys):
+        assert run_cli(["gen", "petersen", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: petersen takes no parameters\n")
+
 
 class TestTw:
     def write_graph(self, tmp_path, text):
@@ -236,6 +251,11 @@ class TestTw:
         f = self.fixture_c5(tmp_path)
         assert run_cli(["tw", f, "--mode", "subgraph", "-r", "1"]) == 0
         capsys.readouterr()
+
+    def test_negative_r_is_an_error(self, tmp_path, capsys):
+        f = self.fixture_c5(tmp_path)
+        assert run_cli(["tw", f, "-r", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: r must be non-negative\n")
 
     def test_addition_mode(self, tmp_path, capsys):
         f = self.fixture_c5(tmp_path)

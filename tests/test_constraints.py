@@ -55,6 +55,10 @@ class TestConstraintSet:
         with pytest.raises(ValueError):
             ConstraintSet(r=2, nu={(0, 1): {1}})
 
+    def test_nu_query_without_lambda(self):
+        with pytest.raises(KeyError, match="nu queried on a constraint set without lambda"):
+            ConstraintSet(r=2).nu_of(0, 1)
+
     # The whole message of each refusal; the bounds are checked before any
     # list, r before lambda before mu.
     REFUSALS = [
@@ -116,6 +120,12 @@ class TestProblemInstance:
         inst = ProblemInstance(kind=WDCE, graph=g, constraints=cs,
                                ops={VDEL}, k=0)
         assert inst.graph.n == 3
+
+    def test_unknown_kind_rejected(self):
+        g = complete(3)
+        cs = ConstraintSet(r=2, delta_v={v: {2} for v in g.vertices()})
+        with pytest.raises(ValueError, match="unknown problem kind 'WXYZ'"):
+            ProblemInstance(kind="WXYZ", graph=g, constraints=cs, ops={VDEL}, k=0)
 
     def test_ops_validation(self):
         g = complete(3)

@@ -307,6 +307,15 @@ class TestDecompositionFiles:
         with pytest.raises(ParseError, match="duplicate"):
             parse_decomposition(text)
 
+    def test_bag_line_without_id(self):
+        with pytest.raises(ParseError, match="line 2: bag line needs an id"):
+            parse_decomposition("s td 1 1 1\nb\n")
+
+    @pytest.mark.parametrize("text", ["", "c no header\n"])
+    def test_missing_header(self, text):
+        with pytest.raises(ParseError, match="missing `s td` header"):
+            parse_decomposition(text)
+
     def test_unknown_bag_in_tree_edge(self):
         text = "s td 2 2 3\nb 0 0 1\nb 1 1 2\n0 7\n"
         with pytest.raises(ParseError, match="bag"):

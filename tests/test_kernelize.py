@@ -12,7 +12,9 @@ import pytest
 
 from dcedit.graphs import WeightedGraph, complete, cycle, line_graph, random_graph
 from dcedit.kernelize import (
+    KernelTrace,
     RULES_BY_NAME,
+    TraceStep,
     find_clean_regions,
     kernel_bound,
     kernelize,
@@ -373,6 +375,17 @@ class TestDriver:
         other = uniform_instance(WEDCE, c5, r=1, k=1, ops={VDEL, EDEL})
         with pytest.raises(ValueError):
             replay_trace(other, trace)
+
+    def test_replay_rejects_a_changed_step_or_final(self):
+        inst = uniform_instance(WEDCE, star_graph(5), r=3, k=1,
+                                ops={VDEL, EDEL})
+        red, trace = kernelize(inst)
+        (step,) = trace.steps
+        changed = TraceStep(step.rule, step.affected, step.k_delta + 1)
+        with pytest.raises(ValueError, match="replay diverged"):
+            replay_trace(inst, KernelTrace((changed,), red))
+        with pytest.raises(ValueError, match="did not reproduce the final instance"):
+            replay_trace(inst, KernelTrace(trace.steps, red.replace(k=red.k + 1)))
 
     @staticmethod
     def three_rule_wsre():

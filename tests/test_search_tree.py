@@ -7,6 +7,7 @@ import pytest
 from dcedit.graphs import (
     WeightedGraph,
     common_neighbor_count,
+    complete,
     edge_key,
     random_graph,
     weighted_degree,
@@ -141,6 +142,27 @@ class TestWdceBst:
     def test_wrong_kind(self, c5):
         with pytest.raises(ValueError):
             solve_wdce_bst(uniform_instance(WERE, c5, r=2, k=1, ops={VDEL}, lam=0))
+
+    def test_ops_beyond_deletion_refused(self, c5):
+        inst = uniform_instance(WDCE, c5, r=2, k=1, ops={VDEL, EADD})
+        with pytest.raises(ValueError, match="covers non-empty ops within"):
+            solve_wdce_bst(inst)
+
+    @pytest.mark.parametrize("graph", [complete(4), random_graph(7, 0.5, seed=3)],
+                             ids=["k4", "gnp7"])
+    def test_pair_lists_are_ignored(self, graph):
+        # WDCE consults vertex degrees alone: lambda, mu and nu/xi lists the
+        # graph breaks change neither the search nor the checker
+        base = exact_instance(WDCE, graph, 1, {VDEL, EDEL})
+        cs = base.constraints
+        dented = {**cs.delta_v, 0: {len(graph.neighbors(0)) - 1}}
+        plain = base.replace(constraints=cs.replace(delta_v=dented))
+        listed = plain.replace(constraints=plain.constraints.replace(
+            lam=cs.r, mu=cs.r, nu={graph.edges()[0]: {cs.r}}, nu_default={0}, xi_default={0}))
+        rep = solve_wdce_bst(listed)
+        assert rep == solve_wdce_bst(plain) and rep.nodes_visited > 1
+        for g in (graph, apply_edit_script(graph, rep.witness) if rep.answer else graph):
+            assert check_constraints(listed, g) == check_constraints(plain, g)
 
     def test_search_deeper_than_the_recursion_limit(self):
         # every edge of a 1,100-vertex path must go, one node per edit on
@@ -584,8 +606,8 @@ class TestLeafRule:
         assert solve(inst) == rep and edits >= rep.nodes_visited - 1
 
 
-STRATEGIES = {WDCE: search_tree._Wdce, WEDCE: search_tree._Wedce,
-              WERE: search_tree._Were, WSRE: search_tree._Were}
+STRATEGIES = {WDCE: search_tree._Degrees, WEDCE: search_tree._Wedce,
+              WERE: search_tree._Degrees, WSRE: search_tree._Degrees}
 
 
 def _started(inst):

@@ -57,6 +57,23 @@ class TestValidate:
                                tree=((0, 1), (1, 2)))
         assert not validate_decomposition(g, td)  # vertex 0 skips the middle
 
+    def test_no_bags(self):
+        assert not validate_decomposition(WeightedGraph({}, {}), TreeDecomposition({}, ()))
+
+    @pytest.mark.parametrize("tree", [((0, 7),), ((0, 0),)], ids=["unknown", "loop"])
+    def test_tree_edge_off_the_bags(self, tree):
+        g = path_graph(2)
+        td = TreeDecomposition(bags={0: frozenset({0, 1}), 1: frozenset({1})}, tree=tree)
+        assert not validate_decomposition(g, td)
+
+    def test_repeated_tree_edge_leaves_a_bag_unreached(self):
+        # |bags| - 1 tree edges, but one is named twice
+        g = path_graph(3)
+        td = TreeDecomposition(bags={0: frozenset({0, 1}), 1: frozenset({1, 2}),
+                                     2: frozenset({2})},
+                               tree=((0, 1), (1, 0)))
+        assert not validate_decomposition(g, td)
+
     def test_non_tree_shape(self):
         g = path_graph(2)
         td = TreeDecomposition(bags={0: frozenset({0, 1}),
@@ -218,6 +235,29 @@ class TestAgreementWithBruteForce:
                 induced_regular_bruteforce(g, r)
             assert solve_regular_subgraph(g, r) == \
                 regular_subgraph_bruteforce(g, r)
+
+    def test_modes_differ_where_the_brute_forces_do(self):
+        # on graphs with up to 5 vertices the two modes agree for every r, so
+        # only larger graphs show that subgraph mode may leave an edge out:
+        # the triangular prism plus the chord 0-4 keeps the prism as a
+        # 3-regular subgraph, but no induced subgraph is 3-regular
+        prism = WeightedGraph.build(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                               (3, 5), (0, 3), (1, 4), (2, 5), (0, 4)])
+        graphs = [prism]
+        rng = random.Random(57)
+        graphs += [random_graph(rng.randint(6, 8), rng.choice([0.4, 0.5, 0.6]),
+                                seed=rng.randrange(10 ** 6)) for _ in range(150)]
+        differing = 0
+        for g in graphs:
+            for r in (3, 4):
+                sub, ind = regular_subgraph_bruteforce(g, r), induced_regular_bruteforce(g, r)
+                if sub != ind:
+                    differing += 1
+                    assert solve_regular_subgraph(g, r) == sub, (g, r)
+                    assert solve_induced_regular(g, r) == ind, (g, r)
+        assert regular_subgraph_bruteforce(prism, 3)
+        assert not induced_regular_bruteforce(prism, 3)
+        assert differing >= 10
 
     def test_decomposition_independence(self, pete):
         for r in (2, 3):
